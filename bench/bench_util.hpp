@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -104,8 +105,6 @@ struct ExperimentConfig {
   /// unaffected and window count drops sharply; the scale bench emits an
   /// explicit adaptive-off row for comparison.
   bool adaptive_lookahead = true;
-  /// Sharded runs only: boundary drain staging batch (0 = unstaged).
-  std::size_t drain_batch = 64;
 };
 
 /// Default per-procedure SLO targets for bench telemetry, loose enough
@@ -201,7 +200,6 @@ inline ExperimentResult run_sharded_experiment(
   scfg.shards = shards;
   scfg.threads = threads;
   scfg.adaptive_lookahead = cfg.adaptive_lookahead;
-  scfg.drain_batch = cfg.drain_batch;
   scfg.streaming_pct = cfg.streaming_pct;
   core::ShardedSystem sys(scfg, measured_costs());
   sys.set_profiler(profiler);
@@ -280,6 +278,20 @@ inline bool write_trace_file(const std::string& path, const obs::Json& trace,
   return true;
 }
 
+/// Write a finished JSON report to `path`. A failed write exits 1: a
+/// missing report must fail the run, or CI validates a stale file.
+inline void write_report_file(const std::string& path,
+                              const std::string& text) {
+  FILE* f = std::fopen(path.c_str(), "w");
+  const bool written =
+      f != nullptr && std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  if (f == nullptr || std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write report to %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::printf("# report: %s\n", path.c_str());
+}
+
 /// Command-line options every bench understands.
 struct BenchOptions {
   /// Shrunk rates/durations for CI (scripts/check.sh): seconds, not
@@ -309,8 +321,6 @@ struct BenchOptions {
   /// --adaptive-lookahead=0|1: per-destination adaptive windows for the
   /// sharded rows (default on; see ExperimentConfig::adaptive_lookahead).
   bool adaptive_lookahead = true;
-  /// --drain-batch=N: boundary drain staging batch (0 = unstaged).
-  std::size_t drain_batch = 64;
   /// --scenario=NAME: drive the bench with a named traffic-engine
   /// scenario (src/traffic/scenario.hpp) instead of its built-in
   /// workload. Empty (default) keeps the built-in workload byte-for-byte.
@@ -320,7 +330,12 @@ struct BenchOptions {
   /// Lets the CI scenario stage run every scenario at small scale.
   std::uint64_t ues = 0;
 
-  static BenchOptions parse(int argc, char** argv) {
+  /// Parse the shared flag table. `extra` names a bench's own flags
+  /// (exact, or a prefix ending in '=') that it parses itself; any other
+  /// argument is a hard error — exit 2 — so a typo or a retired flag can
+  /// never silently run the default configuration.
+  static BenchOptions parse(int argc, char** argv,
+                            std::initializer_list<std::string_view> extra = {}) {
     BenchOptions o;
     if (const char* env = std::getenv("NEUTRINO_REPORT")) o.report_path = env;
     for (int i = 1; i < argc; ++i) {
@@ -358,13 +373,18 @@ struct BenchOptions {
         o.adaptive_lookahead =
             std::strtoul(std::string{arg.substr(21)}.c_str(), nullptr, 10) !=
             0;
-      } else if (arg.rfind("--drain-batch=", 0) == 0) {
-        o.drain_batch = static_cast<std::size_t>(
-            std::strtoul(std::string{arg.substr(14)}.c_str(), nullptr, 10));
       } else if (arg.rfind("--scenario=", 0) == 0) {
         o.scenario = arg.substr(11);
       } else if (arg.rfind("--ues=", 0) == 0) {
         o.ues = std::strtoull(std::string{arg.substr(6)}.c_str(), nullptr, 10);
+      } else if (std::none_of(extra.begin(), extra.end(),
+                              [&](std::string_view flag) {
+                                return flag.back() == '='
+                                           ? arg.rfind(flag, 0) == 0
+                                           : arg == flag;
+                              })) {
+        std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
+        std::exit(2);
       }
     }
     return o;
@@ -597,14 +617,7 @@ class Report {
       std::printf("%s", out.c_str());
       return;
     }
-    if (FILE* f = std::fopen(opts_.report_path.c_str(), "w")) {
-      std::fwrite(out.data(), 1, out.size(), f);
-      std::fclose(f);
-      std::printf("# report: %s\n", opts_.report_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write report to %s\n",
-                   opts_.report_path.c_str());
-    }
+    write_report_file(opts_.report_path, out);
   }
 
  private:

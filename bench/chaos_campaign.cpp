@@ -279,7 +279,9 @@ int run_teeth(const CampaignArgs& args, const core::CostModel& costs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
+  const bench::BenchOptions opts = bench::BenchOptions::parse(
+      argc, argv, {"--seeds=", "--overload=", "--churn=", "--inject=",
+                   "--replay=", "--repro-dir="});
   const CampaignArgs args = parse_campaign(argc, argv, opts.smoke);
   const core::FixedCostModel costs;
 
@@ -495,13 +497,8 @@ int main(int argc, char** argv) {
   const std::string out = doc.dump(2);
   if (opts.report_path.empty()) {
     std::printf("%s", out.c_str());
-  } else if (FILE* fp = std::fopen(opts.report_path.c_str(), "w")) {
-    std::fwrite(out.data(), 1, out.size(), fp);
-    std::fclose(fp);
-    std::printf("# report: %s\n", opts.report_path.c_str());
   } else {
-    std::fprintf(stderr, "cannot write report to %s\n",
-                 opts.report_path.c_str());
+    bench::write_report_file(opts.report_path, out);
   }
 
   if (!failures.empty() || mismatches != 0) {

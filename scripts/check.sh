@@ -60,17 +60,21 @@ out="$BUILD/bench/chaos_campaign.smoke-report.json"
 python3 scripts/validate_report.py "$out"
 
 # ThreadSanitizer pass over the multi-threaded sharded runtime (and the
-# event-loop/determinism suites it builds on). TSan and ASan cannot share
-# a build; this is a separate configuration so both always run.
+# event-loop/determinism suites it builds on): owner drains and the one
+# barrier per window at threads {1, 2, 3, 4, 8}, including 3 threads that
+# do not divide the shard count and 8 threads with idle lanes, plus the
+# threads=3 profiler attribution. TSan and ASan cannot share a build;
+# this is a separate configuration so both always run.
 if [[ "${FAST:-0}" != "1" ]]; then
   echo "== build-tsan + parallel runtime tests"
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
     >/dev/null
-  cmake --build build-tsan -j \
-    --target sim_core_test parallel_runtime_test parallel_determinism_test
-  for t in sim_core_test parallel_runtime_test parallel_determinism_test; do
+  tsan_tests=(sim_core_test parallel_runtime_test parallel_adaptive_test
+              parallel_determinism_test obs_telemetry_test)
+  cmake --build build-tsan -j --target "${tsan_tests[@]}"
+  for t in "${tsan_tests[@]}"; do
     echo "-- tsan: $t"
     "build-tsan/tests/$t"
   done

@@ -42,7 +42,6 @@ struct RunConfig {
   /// adaptive-determinism tests (thread-count sweeps) enable it; the
   /// legacy-equivalence corpus replays stay on static windows.
   bool adaptive_lookahead = false;
-  std::size_t drain_batch = 64;
   core::FaultInjection faults;
   SimTime audit_interval = SimTime::milliseconds(50);
   /// Ride a flight recorder along (one per shard) and put the merged dump
@@ -271,7 +270,6 @@ inline RunOutcome run_schedule(const Schedule& s, const RunConfig& rc,
   scfg.shards = rc.shards;
   scfg.threads = rc.threads;
   scfg.adaptive_lookahead = rc.adaptive_lookahead;
-  scfg.drain_batch = rc.drain_batch;
   core::ShardedSystem sys(scfg, costs);
   std::vector<obs::FlightRecorder> flights;
   if (rc.record_flight) {

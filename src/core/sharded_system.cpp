@@ -59,12 +59,11 @@ ShardedSystem::Runtime::Config ShardedSystem::runtime_config(
   if (rc.adaptive_lookahead) {
     rc.link_floor = link_floor_for(config.topo, config.shards);
   }
-  rc.drain_batch = config.drain_batch;
   rc.loop = config.loop;
   // Sharding splits the event stream N ways, so each shard's wheel sees
   // ~1/N the event density of the legacy loop. Shrink the SLOT COUNT
-  // with the shard count at unchanged tick width: the coordinator
-  // rotates through all N wheels every window, so N× the legacy bucket
+  // with the shard count at unchanged tick width: the scheduling step
+  // probes all N wheels every window, so N× the legacy bucket
   // headers is pure cache churn (4096 slots × 24 B × 8 shards ≈ 768 KB
   // touched per rotation vs 96 KB scaled), while widening ticks instead
   // would dump every sub-tick delay — most local hops — onto the slower
@@ -86,7 +85,6 @@ ShardedSystem::Runtime::Config ShardedSystem::runtime_config(
     rc.loop.wheel_slots = defaults.wheel_slots / scale;
   }
   rc.rng_seed = config.rng_seed;
-  rc.channel_capacity = config.channel_capacity;
   return rc;
 }
 

@@ -63,13 +63,9 @@ class ShardedSystem {
     /// deterministic) order than the legacy single-loop run. The repro
     /// corpus pins legacy ≡ sharded equality, hence opt-in.
     bool adaptive_lookahead = false;
-    /// Cross-shard entries staged per arena batch at window boundaries
-    /// (0 = deliver straight from the ring). Perf knob only.
-    std::size_t drain_batch = 64;
     sim::EventLoop::Config loop;
     std::uint64_t rng_seed = 1;
     bool streaming_pct = false;
-    std::size_t channel_capacity = 1024;
   };
 
   ShardedSystem(const Config& config, const CostModel& costs);
@@ -168,7 +164,7 @@ class ShardedSystem {
     for (Shard& shard : shards_) shard.metrics->arm_slo(window, targets);
   }
 
-  /// Wall-clock phase profiler for the runtime's coordinator/worker loops
+  /// Wall-clock phase profiler for the runtime's per-thread window loops
   /// (never mixed into deterministic outputs; see obs/profiler.hpp).
   void set_profiler(obs::PhaseProfiler* profiler) {
     runtime_.set_profiler(profiler);

@@ -262,9 +262,11 @@ void System::upf_to_cta(std::uint32_t upf_region, Msg msg) {
 }
 
 void System::deliver_envelope(SimTime arrival, ShardEnvelope envelope) {
-  // The lookahead guarantees arrival > the window this loop just ran to
-  // (so the max() below never actually clamps); replay the alive-gating
-  // of the local transports at delivery time.
+  // Static windows guarantee arrival > the window this loop just ran to.
+  // Adaptive windows do not yet: a message chained through another shard
+  // inside one window can arrive before this loop's clock, and the max()
+  // below then delivers it late, at now() (ROADMAP item 3). Replay the
+  // alive-gating of the local transports at delivery time.
   const SimTime when = std::max(arrival, loop_->now());
   const ShardEnvelope::Dest dest = envelope.dest;
   const std::uint32_t dest_id = envelope.dest_id;

@@ -3,8 +3,9 @@
 // Attributes *wall-clock* time to runtime phases — window scheduling,
 // per-shard event dispatch, barrier waits, cross-shard channel drain,
 // codec/export work — answering "where does the sharded sync overhead
-// go?" (ROADMAP item 3). Lanes are shards for dispatch/drain and threads
-// for barrier waits; lane 0 is the coordinating thread.
+// go?" (ROADMAP item 3). Lanes are shards for dispatch and inbox drains,
+// and threads for barrier waits and window scheduling; lane 0 is the
+// thread that called run_until.
 //
 // DETERMINISM RULE: everything here is wall-clock and therefore
 // nondeterministic by nature. Profiler output must only ever appear in
@@ -29,10 +30,10 @@
 namespace neutrino::obs {
 
 enum class Phase : std::uint8_t {
-  kSchedule = 0,     ///< window-start scan + trace replay scheduling
+  kSchedule = 0,     ///< next-window planning + trace replay scheduling
   kDispatch = 1,     ///< per-shard EventLoop::run_until inside a window
-  kBarrierWait = 2,  ///< start/done barrier arrive_and_wait
-  kChannelDrain = 3, ///< coordinator draining cross-shard channels
+  kBarrierWait = 2,  ///< end-of-window barrier, minus the scheduling step
+  kChannelDrain = 3, ///< a shard's owner delivering its cross-shard inbox
   kCodec = 4,        ///< encode/export work (trace JSON, golden vectors)
   kOther = 5,
 };
@@ -59,7 +60,7 @@ inline const char* phase_name(Phase p) {
 class PhaseProfiler {
  public:
   /// `lanes` ≥ max(shards, threads): dispatch/drain index by shard,
-  /// barrier waits by thread id.
+  /// barrier waits and scheduling by thread id.
   explicit PhaseProfiler(std::size_t lanes) : lanes_(lanes == 0 ? 1 : lanes) {
     slots_ = std::vector<Lane>(lanes_);
   }

@@ -1,19 +1,22 @@
 // Reusable phase barrier for the sharded runtime's lock-step windows.
 //
-// std::barrier would work, but its completion-function machinery and
-// libstdc++'s futex path are heavier than needed for two barriers per
-// window, and we want explicit control over spinning: on a machine with
-// fewer cores than worker threads (CI containers are often 1-core),
-// spinning burns the very timeslice the other thread needs, so the spin
-// budget is a constructor knob the runtime sets from
-// hardware_concurrency(). Waiters spin briefly, then park on a condvar.
+// std::barrier would work, but libstdc++'s futex path is heavier than
+// needed for one barrier per window, and we want explicit control over
+// spinning: on a machine with fewer cores than worker threads (CI
+// containers are often 1-core), spinning burns the very timeslice the
+// other thread needs, so the spin budget is a constructor knob the
+// runtime sets from hardware_concurrency(). Waiters spin briefly, then
+// park on a condvar.
 //
-// The generation handshake also carries the memory-ordering obligation of
-// the whole design: every write a worker made during a window (events
-// executed, channel pushes, spill vectors) happens-before the main
-// thread's post-barrier drain, because each arrival is an acq_rel RMW on
-// count_ and departure requires an acquire load of gen_ that observes the
-// leader's release store.
+// The last thread to arrive runs a completion step before it releases the
+// others (the runtime schedules the next window there). The generation
+// handshake carries the memory-ordering obligation of the whole design:
+// every write a thread made during a window (events executed, outbox
+// appends, arrival minima) happens-before the completion step, because
+// each arrival is an acq_rel RMW on count_; and the completion step's
+// writes happen-before every thread's departure, because departure
+// requires an acquire load of gen_ that observes the last arriver's
+// release store.
 #pragma once
 
 #include <atomic>
@@ -30,14 +33,17 @@ class PhaseBarrier {
   PhaseBarrier(std::size_t participants, int spin_budget)
       : n_(participants), spins_(spin_budget) {}
 
-  /// Block until all `participants` threads have arrived, then release
-  /// everyone. Reusable: the generation counter disambiguates phases.
-  void arrive_and_wait() {
+  /// Block until all `participants` threads have arrived; the last to
+  /// arrive runs `on_last()` alone, then releases everyone. Reusable: the
+  /// generation counter disambiguates phases.
+  template <class Completion>
+  void arrive_and_wait(Completion&& on_last) {
     const std::uint64_t gen = gen_.load(std::memory_order_acquire);
     if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-      // Last arriver: reset the count *before* bumping the generation, so
-      // a thread released by the bump can immediately arrive at the next
-      // phase without racing the reset.
+      on_last();
+      // Reset the count *before* bumping the generation, so a thread
+      // released by the bump can immediately arrive at the next phase
+      // without racing the reset.
       count_.store(0, std::memory_order_relaxed);
       {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -7,7 +7,9 @@
 // after ':' ("key":value), and doubles print via %.9g.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_export.hpp"
+#include "sim/parallel/runtime.hpp"
 
 namespace neutrino {
 namespace {
@@ -249,6 +252,51 @@ TEST(PhaseProfiler, NullScopeIsANoop) {
     auto s = obs::PhaseProfiler::scoped(&prof, 0, obs::Phase::kOther);
   }
   EXPECT_EQ(prof.json()["phases"]["other"]["calls"].dump(0), "1");
+}
+
+TEST(PhaseProfiler, ShardedRuntimeAccountsEveryLane) {
+  // 4 shards on 3 threads (thread 0 owns shards 0 and 3), each shard
+  // sending to its successor every millisecond: every shard lane must
+  // show dispatch and its own inbox drains, every thread lane its barrier
+  // waits, and the shares over all phases must sum to 1.
+  using Runtime = sim::parallel::ShardedRuntime<int>;
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kThreads = 3;
+  Runtime::Config config;
+  config.shards = kShards;
+  config.threads = kThreads;
+  config.lookahead = ms(1) - SimTime::nanoseconds(1);
+  Runtime rt(config);
+  obs::PhaseProfiler prof(std::max(kShards, kThreads));
+  rt.set_profiler(&prof);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    for (std::int64_t k = 0; k < 64; ++k) {
+      rt.loop(s).schedule_at(ms(k), [&rt, s] {
+        rt.post(s, (s + 1) % kShards, rt.loop(s).now() + ms(1), 0);
+      });
+    }
+  }
+  rt.run_until(ms(100), [&rt](std::size_t dst, SimTime arrival, int&&) {
+    rt.loop(dst).schedule_at(arrival, [] {});
+  });
+  ASSERT_EQ(rt.stats().cross_messages, kShards * 64);
+
+  for (std::size_t shard = 0; shard < kShards; ++shard) {
+    EXPECT_GT(prof.lane_ns(shard, obs::Phase::kDispatch), 0u) << shard;
+    EXPECT_GT(prof.lane_ns(shard, obs::Phase::kChannelDrain), 0u) << shard;
+  }
+  for (std::size_t thread = 0; thread < kThreads; ++thread) {
+    EXPECT_GT(prof.lane_ns(thread, obs::Phase::kBarrierWait), 0u) << thread;
+  }
+  EXPECT_GT(prof.total_ns(obs::Phase::kSchedule), 0u);
+
+  const std::string text = prof.json()["phases"].dump(0);
+  double shares = 0;
+  for (std::size_t at = text.find("\"share\":"); at != std::string::npos;
+       at = text.find("\"share\":", at + 1)) {
+    shares += std::strtod(text.c_str() + at + 8, nullptr);
+  }
+  EXPECT_NEAR(shares, 1.0, 1e-6);
 }
 
 // ---------------------------------------------------------------------------

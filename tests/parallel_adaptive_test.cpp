@@ -122,7 +122,7 @@ TEST(AdaptiveLookahead, FloorNeverNarrowsBelowStatic) {
 // ---------------------------------------------------------------------------
 // Cross-traffic with adaptation on: the ring workload from
 // parallel_runtime_test, with per-hop logs compared across thread counts
-// {1, 2, 4, 8}. Window schedules may differ from static — outcomes, hop
+// {1, 2, 3, 4, 8}. Window schedules may differ from static — outcomes, hop
 // times and RNG draws may not differ across threads.
 // ---------------------------------------------------------------------------
 
@@ -173,53 +173,13 @@ std::pair<HopLog, std::uint64_t> run_adaptive_ring(std::size_t threads) {
 
 TEST(AdaptiveLookahead, RingIdenticalAcrossThreadCounts) {
   const auto [one, w1] = run_adaptive_ring(1);
-  const auto [two, w2] = run_adaptive_ring(2);
-  const auto [four, w4] = run_adaptive_ring(4);
-  const auto [eight, w8] = run_adaptive_ring(8);  // oversubscribed
-  EXPECT_EQ(one, two);
-  EXPECT_EQ(one, four);
-  EXPECT_EQ(one, eight);
-  // The window schedule itself is sim-state-only, hence also identical.
-  EXPECT_EQ(w1, w2);
-  EXPECT_EQ(w1, w4);
-  EXPECT_EQ(w1, w8);
+  for (const std::size_t threads : {2, 3, 4, 8}) {  // 8: oversubscribed
+    const auto [other, w] = run_adaptive_ring(threads);
+    EXPECT_EQ(one, other) << threads;
+    // The window schedule itself is sim-state-only, hence also identical.
+    EXPECT_EQ(w1, w) << threads;
+  }
   for (const auto& log : one) EXPECT_EQ(log.size(), 33u);
-}
-
-// ---------------------------------------------------------------------------
-// Batched drains are pure staging: batch sizes 0 (direct deliver), 1
-// (flush per entry) and the default produce identical delivery order.
-// ---------------------------------------------------------------------------
-
-TEST(AdaptiveLookahead, DrainBatchSizeInvisibleToDeliveryOrder) {
-  auto run = [](std::size_t drain_batch) {
-    Runtime::Config config;
-    config.shards = 2;
-    config.threads = 2;
-    config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
-    config.drain_batch = drain_batch;
-    config.channel_capacity = 4;  // force ring + spill traversal
-    Runtime rt(config);
-    rt.loop(0).schedule_at(SimTime::nanoseconds(0), [&] {
-      for (int i = 0; i < 300; ++i) {
-        rt.post(0, 1, rt.loop(0).now() + SimTime::milliseconds(1), int{i});
-      }
-    });
-    std::vector<int> delivered;
-    rt.run_until(SimTime::seconds(1),
-                 [&](std::size_t dst, SimTime arrival, int&& v) {
-                   delivered.push_back(v);
-                   rt.loop(dst).schedule_at(arrival, [] {});
-                 });
-    return delivered;
-  };
-  const std::vector<int> direct = run(0);
-  const std::vector<int> tiny = run(1);
-  const std::vector<int> deflt = run(64);
-  ASSERT_EQ(direct.size(), 300u);
-  EXPECT_EQ(direct, tiny);
-  EXPECT_EQ(direct, deflt);
-  for (int i = 0; i < 300; ++i) EXPECT_EQ(direct[i], i);
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/hashing.hpp"
 #include "core/sharded_system.hpp"
 #include "core/system.hpp"
 #include "obs/flight_recorder.hpp"
@@ -105,6 +107,8 @@ struct ShardRun {
   std::uint64_t windows = 0;
   std::uint64_t cross_messages = 0;
   std::uint64_t events = 0;
+  std::uint64_t adaptive_extensions = 0;
+  std::uint64_t dispatches_skipped = 0;
   // Deep-telemetry layer, serialized (DESIGN.md §15): all three must be
   // byte-identical across worker-thread counts.
   std::string telemetry_json;         // merged windowed series
@@ -116,7 +120,6 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
                 bool with_crash, std::uint64_t preattached,
                 const core::ProtocolConfig& proto = test_proto(),
                 bool storm = false, bool adaptive = false,
-                std::size_t drain_batch = 64,
                 const std::vector<trace::TraceRecord>* custom_trace =
                     nullptr) {
   const core::FixedCostModel costs{SimTime::microseconds(10)};
@@ -127,7 +130,6 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
   cfg.shards = shards;
   cfg.threads = threads;
   cfg.adaptive_lookahead = adaptive;
-  cfg.drain_batch = drain_batch;
   core::ShardedSystem sys(cfg, costs);
 
   obs::TracerConfig tc;
@@ -168,6 +170,8 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
 
   ShardRun run{sys.merged_metrics(), {}, sys.stats().windows,
           sys.stats().cross_messages, sys.events_executed()};
+  run.adaptive_extensions = sys.stats().adaptive_extensions;
+  run.dispatches_skipped = sys.stats().dispatches_skipped;
   for (auto& tracer : tracers) {
     run.dumps.push_back(tracer->dump_json().dump(0));
   }
@@ -180,6 +184,27 @@ ShardRun run_sharded(std::uint32_t shards, std::uint32_t threads,
   for (const obs::FlightRecorder& f : flights) flight_ptrs.push_back(&f);
   run.flight_json = obs::FlightRecorder::merge_flight(flight_ptrs).dump(0);
   return run;
+}
+
+/// FNV-1a over a run's outcome: every merged counter, and every PCT
+/// recorder's sample count plus a 101-point percentile grid (the samples
+/// are exact, so the grid pins their values bit for bit).
+std::uint64_t outcome_hash(const ShardRun& run) {
+  std::string text;
+  run.metrics.registry.for_each_counter(
+      [&](const std::string& key, const obs::Counter& counter) {
+        text += key + '=' + std::to_string(counter.value()) + '\n';
+      });
+  for (const LatencyRecorder& rec : run.metrics.pct) {
+    text += std::to_string(rec.count()) + ':';
+    if (rec.empty() || rec.streaming_only()) continue;
+    for (int q = 0; q <= 100; ++q) {
+      text += std::to_string(
+                  std::bit_cast<std::uint64_t>(rec.percentile(q / 100.0))) +
+              ',';
+    }
+  }
+  return fnv1a64(text);
 }
 
 void expect_identical(const ShardRun& a, const ShardRun& b, const char* label) {
@@ -309,10 +334,12 @@ TEST(ParallelDeterminism, FourShardsIdenticalAcrossThreadCounts) {
   EXPECT_NE(t1.flight_json.find("restore_cpf"), std::string::npos);
 
   const ShardRun t2 = run_sharded(4, 2, true, 0);
+  const ShardRun t3 = run_sharded(4, 3, true, 0);  // 3 does not divide 4
   const ShardRun t4 = run_sharded(4, 4, true, 0);
-  const ShardRun t8 = run_sharded(4, 8, true, 0);  // oversubscribed
+  const ShardRun t8 = run_sharded(4, 8, true, 0);  // idle, oversubscribed
   const ShardRun t2_again = run_sharded(4, 2, true, 0);
   expect_identical(t1, t2, "threads 1 vs 2");
+  expect_identical(t1, t3, "threads 1 vs 3");
   expect_identical(t1, t4, "threads 1 vs 4");
   expect_identical(t1, t8, "threads 1 vs 8");
   expect_identical(t2, t2_again, "run-to-run at threads=2");
@@ -342,11 +369,13 @@ TEST(ParallelDeterminism, OverloadBackpressureIdenticalAcrossThreadCounts) {
   EXPECT_NE(t1.telemetry_json.find("ts.shed"), std::string::npos);
 
   const ShardRun t2 = run_sharded(4, 2, true, 0, overload_test_proto(), true);
+  const ShardRun t3 = run_sharded(4, 3, true, 0, overload_test_proto(), true);
   const ShardRun t4 = run_sharded(4, 4, true, 0, overload_test_proto(), true);
   const ShardRun t8 = run_sharded(4, 8, true, 0, overload_test_proto(), true);
   const ShardRun t4_again =
       run_sharded(4, 4, true, 0, overload_test_proto(), true);
   expect_identical(t1, t2, "overload threads 1 vs 2");
+  expect_identical(t1, t3, "overload threads 1 vs 3");
   expect_identical(t1, t4, "overload threads 1 vs 4");
   expect_identical(t1, t8, "overload threads 1 vs 8");
   expect_identical(t4, t4_again, "overload run-to-run at threads=4");
@@ -357,7 +386,7 @@ TEST(ParallelDeterminism, OverloadBackpressureIdenticalAcrossThreadCounts) {
 // scenario: crash + replay, bounded queues, NAS retransmission. Identical
 // window *schedules* are not required versus the static runs above —
 // identical event outcomes and byte-identical telemetry ARE, across
-// worker-thread counts {1, 2, 4, 8} and across runs.
+// worker-thread counts {1, 2, 3, 4, 8} and across runs.
 // ---------------------------------------------------------------------------
 
 TEST(ParallelDeterminism, AdaptiveLookaheadIdenticalAcrossThreadCounts) {
@@ -375,6 +404,8 @@ TEST(ParallelDeterminism, AdaptiveLookaheadIdenticalAcrossThreadCounts) {
 
   const ShardRun t2 = run_sharded(4, 2, true, 0, overload_test_proto(),
                                   true, true);
+  const ShardRun t3 = run_sharded(4, 3, true, 0, overload_test_proto(),
+                                  true, true);
   const ShardRun t4 = run_sharded(4, 4, true, 0, overload_test_proto(),
                                   true, true);
   const ShardRun t8 = run_sharded(4, 8, true, 0, overload_test_proto(),
@@ -382,27 +413,49 @@ TEST(ParallelDeterminism, AdaptiveLookaheadIdenticalAcrossThreadCounts) {
   const ShardRun t4_again = run_sharded(4, 4, true, 0,
                                         overload_test_proto(), true, true);
   expect_identical(t1, t2, "adaptive threads 1 vs 2");
+  expect_identical(t1, t3, "adaptive threads 1 vs 3");
   expect_identical(t1, t4, "adaptive threads 1 vs 4");
   expect_identical(t1, t8, "adaptive threads 1 vs 8");
   expect_identical(t4, t4_again, "adaptive run-to-run at threads=4");
 }
 
 // ---------------------------------------------------------------------------
-// Batched boundary drains are pure staging at the system layer too:
-// direct delivery (batch 0), a degenerate batch of 1 and the default all
-// produce the same outcomes and telemetry bytes.
+// Pinned outcomes of the crash + overload storm on 4 shards, static and
+// adaptive. The values were captured from the coordinator-drain runtime
+// (one serial drain of every channel between two barriers per window);
+// owner drains must reproduce its window schedule, its cross-shard
+// traffic and every outcome exactly, because each destination loop still
+// receives the same deliveries at the same point of its own insertion
+// sequence (DESIGN.md §11).
 // ---------------------------------------------------------------------------
 
-TEST(ParallelDeterminism, DrainBatchSizeInvisibleToOutcomes) {
-  const ShardRun direct = run_sharded(4, 2, /*with_crash=*/true, 0,
-                                      overload_test_proto(), /*storm=*/true,
-                                      /*adaptive=*/false, /*drain_batch=*/0);
-  const ShardRun tiny = run_sharded(4, 2, true, 0, overload_test_proto(),
-                                    true, false, 1);
-  const ShardRun deflt = run_sharded(4, 2, true, 0, overload_test_proto(),
-                                     true, false, 64);
-  expect_identical(direct, tiny, "drain batch 0 vs 1");
-  expect_identical(direct, deflt, "drain batch 0 vs 64");
+TEST(ParallelDeterminism, PinnedOutcomesMatchCoordinatorDrain) {
+  struct Pin {
+    bool adaptive;
+    std::uint64_t windows;
+    std::uint64_t cross_messages;
+    std::uint64_t adaptive_extensions;
+    std::uint64_t dispatches_skipped;
+    std::uint64_t events;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {false, 1024, 2537, 0, 1641, 22347, 0x5fbf7879cee7c8cdULL},
+      {true, 975, 2537, 719, 1558, 22347, 0x7e7964eba637d1edULL},
+  };
+  for (const Pin& pin : pins) {
+    const ShardRun run = run_sharded(4, 3, /*with_crash=*/true, 0,
+                                     overload_test_proto(), /*storm=*/true,
+                                     pin.adaptive);
+    const char* label = pin.adaptive ? "adaptive" : "static";
+    EXPECT_EQ(run.windows, pin.windows) << label;
+    EXPECT_EQ(run.cross_messages, pin.cross_messages) << label;
+    EXPECT_EQ(run.adaptive_extensions, pin.adaptive_extensions) << label;
+    EXPECT_EQ(run.dispatches_skipped, pin.dispatches_skipped) << label;
+    EXPECT_EQ(run.events, pin.events) << label;
+    EXPECT_EQ(outcome_hash(run), pin.hash)
+        << label << std::hex << " hash 0x" << outcome_hash(run);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -445,7 +498,7 @@ TEST(ParallelDeterminism, LinkFloorMatrixMatchesTopology) {
 // Traffic-engine scenario (DESIGN.md §17) as the replayed workload: the
 // generator is a pure function of its request (bitwise run-to-run), and
 // replaying the generated stream stays bit-identical across worker-thread
-// counts {1, 2, 4, 8} and across runs — the guarantee the benches'
+// counts {1, 2, 3, 4, 8} and across runs — the guarantee the benches'
 // --scenario= mode rests on. iot-firmware-push exercises the engine's
 // hardest structure: two device classes, a mid-run envelope wave and
 // synchronized duty-cycle wakeup spikes.
@@ -477,20 +530,23 @@ TEST(ParallelDeterminism, ScenarioTrafficIdenticalAcrossThreadCounts) {
   const ShardRun t1 =
       run_sharded(4, 1, /*with_crash=*/false, /*preattached=*/200,
                   test_proto(), /*storm=*/false, /*adaptive=*/false,
-                  /*drain_batch=*/64, &gen->records);
+                  &gen->records);
   EXPECT_EQ(t1.metrics.ryw_violations, 0u);
   EXPECT_GT(t1.metrics.procedures_completed, 100u);
   EXPECT_EQ(t1.metrics.procedures_completed, t1.metrics.procedures_started);
 
   const ShardRun t2 = run_sharded(4, 2, false, 200, test_proto(), false,
-                                  false, 64, &gen->records);
+                                  false, &gen->records);
+  const ShardRun t3 = run_sharded(4, 3, false, 200, test_proto(), false,
+                                  false, &gen->records);
   const ShardRun t4 = run_sharded(4, 4, false, 200, test_proto(), false,
-                                  false, 64, &gen->records);
+                                  false, &gen->records);
   const ShardRun t8 = run_sharded(4, 8, false, 200, test_proto(), false,
-                                  false, 64, &gen->records);  // oversubscribed
+                                  false, &gen->records);  // oversubscribed
   const ShardRun t2_again = run_sharded(4, 2, false, 200, test_proto(),
-                                        false, false, 64, &gen->records);
+                                        false, false, &gen->records);
   expect_identical(t1, t2, "scenario threads 1 vs 2");
+  expect_identical(t1, t3, "scenario threads 1 vs 3");
   expect_identical(t1, t4, "scenario threads 1 vs 4");
   expect_identical(t1, t8, "scenario threads 1 vs 8");
   expect_identical(t2, t2_again, "scenario run-to-run at threads=2");

@@ -1,5 +1,5 @@
-// sim/parallel: SPSC channel semantics and ShardedRuntime window
-// scheduling/determinism, independent of the core model.
+// sim/parallel: ShardedRuntime window scheduling, cross-shard mail
+// ordering and determinism, independent of the core model.
 #include "sim/parallel/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -8,34 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "sim/parallel/spsc_queue.hpp"
-
 namespace neutrino::sim::parallel {
 namespace {
-
-TEST(SpscChannel, FifoWithinRing) {
-  SpscChannel<int> ch(8);
-  for (int i = 0; i < 6; ++i) ch.push(i);
-  std::vector<int> got;
-  const std::size_t n = ch.drain([&](int&& v) { got.push_back(v); });
-  EXPECT_EQ(n, 6u);
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(SpscChannel, OverflowPreservesFifo) {
-  SpscChannel<int> ch(4);
-  for (int i = 0; i < 100; ++i) ch.push(i);  // 96 land in the spill
-  std::vector<int> got;
-  ch.drain([&](int&& v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(got[i], i);
-  // After a full drain the ring is usable again.
-  ch.push(7);
-  int last = -1;
-  EXPECT_EQ(ch.drain([&](int&& v) { last = v; }), 1u);
-  EXPECT_EQ(last, 7);
-}
 
 // ---------------------------------------------------------------------------
 // ShardedRuntime: a ring of shards passing a hop counter around. The link
@@ -111,16 +85,15 @@ TEST(ShardedRuntime, RingCompletesAndCrosses) {
 
 TEST(ShardedRuntime, BitIdenticalAcrossThreadCounts) {
   const RingRun one = run_ring(4, 1, 32);
-  const RingRun two = run_ring(4, 2, 32);
-  const RingRun four = run_ring(4, 4, 32);
-  const RingRun eight = run_ring(4, 8, 32);  // oversubscribed on purpose
-  EXPECT_EQ(one.logs, two.logs);
-  EXPECT_EQ(one.logs, four.logs);
-  EXPECT_EQ(one.logs, eight.logs);
-  EXPECT_EQ(one.windows, two.windows);
-  EXPECT_EQ(one.windows, four.windows);
-  EXPECT_EQ(one.cross_messages, four.cross_messages);
-  EXPECT_EQ(one.events, four.events);
+  // 3 threads own shards {0, 3}, {1}, {2}; 8 threads leave four lanes
+  // with no shard that still take part in every window's barrier.
+  for (const std::size_t threads : {2, 3, 4, 8}) {
+    const RingRun other = run_ring(4, threads, 32);
+    EXPECT_EQ(one.logs, other.logs) << threads;
+    EXPECT_EQ(one.windows, other.windows) << threads;
+    EXPECT_EQ(one.cross_messages, other.cross_messages) << threads;
+    EXPECT_EQ(one.events, other.events) << threads;
+  }
 }
 
 TEST(ShardedRuntime, SingleShardRunsOneWindow) {
@@ -160,30 +133,39 @@ TEST(ShardedRuntime, FastForwardSkipsIdleGaps) {
 }
 
 TEST(ShardedRuntime, ChannelOverflowBurstStaysOrdered) {
-  // One event posts a burst far beyond the ring capacity; delivery must
-  // preserve push order (ring prefix, then spill, FIFO).
+  // Two sources each post a burst to shard 1 in the same window; the
+  // outboxes are unbounded, and shard 1's owner must deliver them in
+  // (src, FIFO) order whichever thread ran each source.
   using Runtime = ShardedRuntime<int>;
-  Runtime::Config config;
-  config.shards = 2;
-  config.threads = 2;
-  config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
-  config.channel_capacity = 4;
-  Runtime rt(config);
   constexpr int kBurst = 1000;
-  rt.loop(0).schedule_at(SimTime::nanoseconds(0), [&] {
-    for (int i = 0; i < kBurst; ++i) {
-      rt.post(0, 1, rt.loop(0).now() + SimTime::milliseconds(1), int{i});
+  for (const std::size_t threads : {1, 2, 3}) {
+    Runtime::Config config;
+    config.shards = 3;
+    config.threads = threads;
+    config.lookahead = SimTime::milliseconds(1) - SimTime::nanoseconds(1);
+    Runtime rt(config);
+    for (const std::size_t src : {2, 0}) {
+      rt.loop(src).schedule_at(SimTime::nanoseconds(0), [&rt, src] {
+        for (int i = 0; i < kBurst; ++i) {
+          rt.post(src, 1, rt.loop(src).now() + SimTime::milliseconds(1),
+                  static_cast<int>(src) * kBurst + i);
+        }
+      });
     }
-  });
-  std::vector<int> delivered;
-  rt.run_until(SimTime::seconds(1),
-               [&](std::size_t dst, SimTime arrival, int&& v) {
-                 EXPECT_EQ(dst, 1u);
-                 delivered.push_back(v);
-                 rt.loop(dst).schedule_at(arrival, [] {});
-               });
-  ASSERT_EQ(delivered.size(), static_cast<std::size_t>(kBurst));
-  for (int i = 0; i < kBurst; ++i) EXPECT_EQ(delivered[i], i);
+    std::vector<int> delivered;
+    rt.run_until(SimTime::seconds(1),
+                 [&](std::size_t dst, SimTime arrival, int&& v) {
+                   EXPECT_EQ(dst, 1u);
+                   delivered.push_back(v);
+                   rt.loop(dst).schedule_at(arrival, [] {});
+                 });
+    ASSERT_EQ(delivered.size(), static_cast<std::size_t>(2 * kBurst));
+    for (int i = 0; i < kBurst; ++i) {
+      EXPECT_EQ(delivered[i], i) << threads;                  // src 0 first
+      EXPECT_EQ(delivered[kBurst + i], 2 * kBurst + i) << threads;  // src 2
+    }
+    EXPECT_EQ(rt.stats().cross_messages, 2u * kBurst);
+  }
 }
 
 TEST(ShardedRuntime, PerShardRngStreamsAreJumps) {
