@@ -6,6 +6,9 @@
 #   FAST=1 scripts/check.sh     # reuse an existing build/ instead
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# A bare `-j` lets make start one compiler per target at once, which runs
+# a sanitized build out of memory; cap the build at one job per CPU.
+JOBS=$(nproc)
 
 if [[ "${FAST:-0}" == "1" ]]; then
   BUILD=build
@@ -23,7 +26,7 @@ else
     >/dev/null
 fi
 echo "== build ($BUILD)"
-cmake --build "$BUILD" -j
+cmake --build "$BUILD" -j "$JOBS"
 
 echo "== ctest"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" "${EXCLUDE[@]}"
@@ -53,7 +56,7 @@ echo "== trace demo"
 # Seed count is small here (sanitizers are ~10x); the release stage below
 # runs the wide sweep.
 echo "== chaos smoke ($BUILD)"
-cmake --build "$BUILD" -j --target chaos_campaign
+cmake --build "$BUILD" -j "$JOBS" --target chaos_campaign
 out="$BUILD/bench/chaos_campaign.smoke-report.json"
 "$BUILD/bench/chaos_campaign" --smoke --seeds=10 --churn=3 \
   --repro-dir="$BUILD/bench" --report="$out" >/dev/null
@@ -73,7 +76,7 @@ if [[ "${FAST:-0}" != "1" ]]; then
     >/dev/null
   tsan_tests=(sim_core_test parallel_runtime_test parallel_adaptive_test
               parallel_determinism_test obs_telemetry_test)
-  cmake --build build-tsan -j --target "${tsan_tests[@]}"
+  cmake --build build-tsan -j "$JOBS" --target "${tsan_tests[@]}"
   for t in "${tsan_tests[@]}"; do
     echo "-- tsan: $t"
     "build-tsan/tests/$t"
@@ -88,12 +91,32 @@ fi
 echo "== release build + scale smoke (build-release)"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
-cmake --build build-release -j --target scale_throughput sim_core_gbench
+cmake --build build-release -j "$JOBS" --target scale_throughput sim_core_gbench
 out=build-release/bench/scale_throughput.smoke-report.json
 build-release/bench/scale_throughput --smoke --threads=1,2 --shards=2 \
   --report="$out"
 python3 scripts/validate_report.py "$out"
 python3 scripts/summarize_bench.py "$out"
+
+# perfbench (the repo's benchmark, perfbench/README.md): run.py builds it
+# from this checkout at -O2, then the three simulator workloads run small
+# and their fingerprints of the simulated outputs must equal the pinned
+# ones — a speed change that moves any outcome fails here. The benchmark's
+# own tests (determinism, fail-loud exits, metric catalogue) follow.
+echo "== perfbench fingerprints + tests (release)"
+fp_out=build-release/perfbench-fingerprints.txt
+: >"$fp_out"
+for w in storm storm-sharded mobility-failover; do
+  python3 perfbench/run.py --workload "$w" --ues 20000 --seconds 1 \
+    --seed 1 --trace 0 2>/dev/null | grep '^fingerprint ' >>"$fp_out"
+done
+if ! diff <(grep '^fingerprint ' scripts/perfbench_fingerprints.txt) \
+    "$fp_out"; then
+  echo "perfbench fingerprints differ from scripts/perfbench_fingerprints.txt"
+  exit 1
+fi
+echo "perfbench fingerprints match scripts/perfbench_fingerprints.txt"
+python3 perfbench/tests/test_perfbench.py
 
 # Deep telemetry (DESIGN.md §15): the same storm with windowed series,
 # SLO burn tracking and the phase profiler armed, the last sharded row
@@ -212,7 +235,7 @@ done
 # sweep with overload control armed; validate_report.py enforces the
 # bounded-depth / zero-RYW / >=99%-completion acceptance surface.
 echo "== saturation sweep (build-release)"
-cmake --build build-release -j --target fig_saturation
+cmake --build build-release -j "$JOBS" --target fig_saturation
 out=build-release/bench/fig_saturation.report.json
 trace=build-release/bench/fig_saturation.trace.json
 build-release/bench/fig_saturation --telemetry --trace-out="$trace" \
@@ -226,7 +249,7 @@ python3 scripts/validate_report.py "$out" "$trace"
 # with a bit-identical cross-thread-count comparison, and finally a chaos
 # campaign with a scenario overlaid on the generated failure schedules.
 echo "== traffic scenarios (build-release)"
-cmake --build build-release -j --target fig_scenarios scale_throughput \
+cmake --build build-release -j "$JOBS" --target fig_scenarios scale_throughput \
   chaos_campaign
 out=build-release/bench/fig_scenarios.smoke-report.json
 build-release/bench/fig_scenarios --smoke --report="$out" >/dev/null
@@ -271,7 +294,7 @@ python3 scripts/validate_report.py "$out"
 # bit-identical outcomes across worker-thread counts); the validator then
 # re-checks the report's v5 surface independently of the bench's own gate.
 echo "== mobility (build-release)"
-cmake --build build-release -j --target fig_mobility
+cmake --build build-release -j "$JOBS" --target fig_mobility
 out=build-release/bench/fig_mobility.smoke-report.json
 build-release/bench/fig_mobility --smoke --report="$out" >/dev/null
 python3 scripts/validate_report.py "$out"
@@ -285,7 +308,7 @@ python3 scripts/summarize_bench.py "$out"
 # bit-identical outcomes across worker-thread counts); the validator
 # then re-checks the report's v6 surface independently.
 echo "== elastic (build-release)"
-cmake --build build-release -j --target fig_elastic
+cmake --build build-release -j "$JOBS" --target fig_elastic
 out=build-release/bench/fig_elastic.smoke-report.json
 build-release/bench/fig_elastic --smoke --report="$out" >/dev/null
 python3 scripts/validate_report.py "$out"
@@ -295,7 +318,7 @@ python3 scripts/summarize_bench.py "$out"
 # runtimes, with elastic churn in the schedule grammar; any invariant
 # violation shrinks to a replayable reproducer and fails the gate.
 echo "== chaos campaign (build-release)"
-cmake --build build-release -j --target chaos_campaign
+cmake --build build-release -j "$JOBS" --target chaos_campaign
 out=build-release/bench/chaos_campaign.smoke-report.json
 build-release/bench/chaos_campaign --seeds=50 --shards=4 --threads=2 \
   --churn=2 --repro-dir=build-release/bench --report="$out"

@@ -20,8 +20,12 @@ Cpf::Cpf(System& system, CpfId id, std::uint32_t region)
   }
 }
 
-void Cpf::deliver(Msg msg) {
-  if (!alive_) return;
+void Cpf::deliver(MsgPool::Handle h) {
+  if (!alive_) {
+    h.discard();
+    return;
+  }
+  const Msg& msg = *h;
   SimTime cost = system_->costs().processing_time(
       system_->policy().wire_format, msg.kind);
   // SkyCore-style per-message replication locks and serializes the UE
@@ -55,21 +59,19 @@ void Cpf::deliver(Msg msg) {
     case MsgKind::kStateCheckpoint:
     case MsgKind::kOutdatedNotify:
       trace_pool(sync_pool_);
-      sync_pool_.submit(
-          cost, [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-            Msg m = h.take();
-            handle_replication(m);
-          });
+      sync_pool_.submit(cost, [this, h = std::move(h)]() mutable {
+        Msg m = h.take();
+        handle_replication(m);
+      });
       return;
     case MsgKind::kStateFetch:
       // A fetch serves a live procedure (FastHandover/TAU arrival) — it
       // belongs on the request core, not behind bulk checkpoint traffic.
       trace_pool(request_pool_);
-      request_pool_.submit(
-          cost, [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-            Msg m = h.take();
-            handle_replication(m);
-          });
+      request_pool_.submit(cost, [this, h = std::move(h)]() mutable {
+        Msg m = h.take();
+        handle_replication(m);
+      });
       return;
     default:
       // Bounded request queue (DESIGN.md §13): only UE-origin ingress is
@@ -92,14 +94,14 @@ void Cpf::deliver(Msg msg) {
           } else {
             ++system_->metrics().overload_drops;
           }
+          h.discard();
           return;
         }
       }
       trace_pool(request_pool_);
-      request_pool_.submit(
-          cost, [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-            handle(h.take());
-          });
+      request_pool_.submit(cost, [this, h = std::move(h)]() mutable {
+        handle(h.take());
+      });
       return;
   }
 }
@@ -737,7 +739,8 @@ void Cpf::send_checkpoint(UeId ue) {
   const auto it = store_.find(ue);
   if (it == store_.end() || !it->second.state) return;
   const auto& state = it->second.state;
-  const auto backups = system_->backups_for(ue, state->serving_region);
+  std::vector<CpfId>& backups = checkpoint_backups_;
+  system_->backups_into(ue, state->serving_region, backups);
   for (const CpfId b : backups) {
     if (b == id_) {
       // This CPF serves the UE *and* sits in its replica set (in-region
@@ -919,8 +922,11 @@ void Cpf::crash() {
   ++epoch_;
   ++system_->metrics().registry.counter(
       "cpf.crashes", {{"cpf", std::to_string(id_.value())}});
-  request_pool_.reset();
-  sync_pool_.reset();
+  {
+    const MsgPool::Flush flush(system_->msg_pool());
+    request_pool_.reset();
+    sync_pool_.reset();
+  }
   store_.clear();  // volatile state is gone
   procs_.clear();
   pending_handover_.clear();

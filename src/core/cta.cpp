@@ -147,20 +147,31 @@ CpfId Cta::route(UeId ue) const {
 }
 
 std::vector<CpfId> Cta::backups(UeId ue) const {
+  std::vector<CpfId> out;
+  backups_into(ue, out);
+  return out;
+}
+
+void Cta::backups_into(UeId ue, std::vector<CpfId>& out) const {
+  out.clear();
   const auto n = static_cast<std::size_t>(system_->policy().num_backups);
-  if (n == 0) return {};
+  if (n == 0) return;
   if (!level2_ring_.empty()) {
-    return level2_ring_.successors(System::ue_key(ue), n);
+    level2_ring_.successors_into(System::ue_key(ue), n, out);
+    return;
   }
   // Single-region deployment (the paper's 5-instance testbed): no level-2
   // ring exists, so backups are the primary's ring successors in-region.
-  auto chain = level1_ring_.successors(System::ue_key(ue), n + 1);
-  chain.erase(chain.begin());  // drop the primary itself
-  return chain;
+  level1_ring_.successors_into(System::ue_key(ue), n + 1, out);
+  if (!out.empty()) out.erase(out.begin());  // drop the primary itself
 }
 
-void Cta::deliver_uplink(Msg msg) {
-  if (!alive_) return;
+void Cta::deliver_uplink(MsgPool::Handle h) {
+  if (!alive_) {
+    h.discard();
+    return;
+  }
+  const Msg& msg = *h;
   SimTime cost = system_->proto().cta_forward_cost;
   if (system_->policy().cta_message_logging &&
       is_ue_control_message(msg.kind)) {
@@ -184,6 +195,7 @@ void Cta::deliver_uplink(Msg msg) {
     } else {
       ++system_->metrics().overload_drops;
     }
+    h.discard();
     return;
   }
   if (obs::ProcTracer* tr = system_->tracer()) {
@@ -193,10 +205,9 @@ void Cta::deliver_uplink(Msg msg) {
     tr->hop(msg, obs::HopClass::kService, "cta", region_, now + queued,
             now + queued + cost);
   }
-  pool_.submit(cost,
-               [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-                 forward_uplink(h.take());
-               });
+  pool_.submit(cost, [this, h = std::move(h)]() mutable {
+    forward_uplink(h.take());
+  });
 }
 
 void Cta::forward_uplink(Msg msg) {
@@ -271,18 +282,21 @@ void Cta::forward_uplink(Msg msg) {
   system_->cta_to_cpf(region_, route(msg.ue), std::move(msg));
 }
 
-void Cta::deliver_downlink(Msg msg) {
-  if (!alive_) return;
+void Cta::deliver_downlink(MsgPool::Handle h) {
+  if (!alive_) {
+    h.discard();
+    return;
+  }
   if (obs::ProcTracer* tr = system_->tracer()) {
     const SimTime now = system_->loop().now();
     const SimTime queued = pool_.backlog();
     const SimTime cost = system_->proto().cta_forward_cost;
-    tr->hop(msg, obs::HopClass::kQueueing, "cta", region_, now, now + queued);
-    tr->hop(msg, obs::HopClass::kService, "cta", region_, now + queued,
+    tr->hop(*h, obs::HopClass::kQueueing, "cta", region_, now, now + queued);
+    tr->hop(*h, obs::HopClass::kService, "cta", region_, now + queued,
             now + queued + cost);
   }
   pool_.submit(system_->proto().cta_forward_cost,
-               [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
+               [this, h = std::move(h)]() mutable {
     Msg msg = h.take();
     if (msg.kind == MsgKind::kCheckpointAck) {
       handle_ack(msg);
@@ -538,9 +552,8 @@ void Cta::recover_ue(UeId ue, UeRecord& rec, CpfId failed) {
         // log, completely — a hole (pruned on an ACK that later died with
         // a replica crash, or dropped by the §4.2.4(1d) timeout) makes
         // this backup unrecoverable from the log.
-        const auto through_it = rec.acked_through.find(b.value());
-        const std::uint64_t b_has =
-            through_it != rec.acked_through.end() ? through_it->second : 0;
+        const std::uint64_t* through = rec.acked_through.lookup(b.value());
+        const std::uint64_t b_has = through != nullptr ? *through : 0;
         const std::uint64_t replay_from =
             std::max(b_has + 1, rec.first_seq_logged);
         std::vector<const Msg*> to_replay;
@@ -640,6 +653,7 @@ void Cta::crash() {
   alive_ = false;
   // Jobs queued or in service die with the process: without this they
   // would still fire and forward/log through the dead CTA.
+  const MsgPool::Flush flush(system_->msg_pool());
   pool_.reset();
   // The CTA log is volatile (§4.2.3): everything is lost.
   ues_.clear();

@@ -7,16 +7,21 @@
 // the event captures a 16-byte Handle instead, which fits the event
 // loop's inline buffer together with the destination pointer.
 //
-// Lifetime contract: delivery callbacks should call `take()` FIRST,
-// before any branch (dead-node drops included). A Handle destroyed
-// without take() consults the live-pool registry: if its pool still
-// exists (a crashed node's ServerPool dropping queued jobs mid-run), the
-// slot goes back on the free list — otherwise the pool died first (an
-// event still pending when the loop outlives the System in bench
-// scaffolding) and the slot is abandoned; the block storage itself is
-// always reclaimed by ~MsgPool. The registry is only touched by pool
-// construction/destruction and by drop-without-take, never on the
-// per-hop fast path.
+// Lifetime contract: one slot carries a message through one whole hop.
+// The transport event hands the Handle to the destination node, the node
+// hands it to its service-pool job, and the final handler calls `take()`
+// exactly once. Every path that ends the hop early — dead destination,
+// admission shed, a node that died while the message was in flight —
+// calls `discard()` instead. A Handle destroyed with neither consults the
+// live-pool registry: if its pool still exists, the slot goes back on the
+// free list, and unless a Flush is open (a crashed node's ServerPool
+// dropping its queued jobs) the pool counts it in abandoned(), so a
+// missed discard() shows up in tests instead of hiding in this slow path.
+// If the pool died first (an event still pending when the loop outlives
+// the System in bench scaffolding), the slot is left alone; the block
+// storage itself is always reclaimed by ~MsgPool. The registry is only
+// touched by pool construction/destruction and by these drops, never on
+// the per-hop fast path.
 #pragma once
 
 #include <algorithm>
@@ -61,18 +66,30 @@ class MsgPool {
     Msg take() {
       assert(msg_ != nullptr);
       Msg out = std::move(*msg_);
-      pool_->release(msg_);
-      msg_ = nullptr;
-      pool_ = nullptr;
+      release();
       return out;
+    }
+
+    /// End the hop without delivering: return the slot, drop the message.
+    void discard() {
+      assert(msg_ != nullptr);
+      ++pool_->discarded_;
+      release();
     }
 
    private:
     friend class MsgPool;
     Handle(MsgPool* pool, Msg* msg) : pool_(pool), msg_(msg) {}
 
-    /// Slow path for a Handle destroyed without take(): a crashed node's
-    /// ServerPool dropping its queue must not strand the slot forever.
+    void release() {
+      pool_->release(msg_);
+      msg_ = nullptr;
+      pool_ = nullptr;
+    }
+
+    /// Slow path for a Handle destroyed without take() or discard(): a
+    /// crashed node's ServerPool dropping its queue must not strand the
+    /// slot forever.
     void drop() {
       if (msg_ != nullptr) MsgPool::release_if_alive(pool_, msg_);
       pool_ = nullptr;
@@ -95,6 +112,20 @@ class MsgPool {
   MsgPool(const MsgPool&) = delete;
   MsgPool& operator=(const MsgPool&) = delete;
 
+  /// Open while a crashing node drops its queued jobs: the handles those
+  /// jobs held are destroyed on purpose, so they do not count as
+  /// abandoned().
+  class [[nodiscard]] Flush {
+   public:
+    explicit Flush(MsgPool& pool) : pool_(&pool) { ++pool_->flushing_; }
+    ~Flush() { --pool_->flushing_; }
+    Flush(const Flush&) = delete;
+    Flush& operator=(const Flush&) = delete;
+
+   private:
+    MsgPool* pool_;
+  };
+
   /// Park a message in a pooled slot for the duration of one hop.
   Handle acquire(Msg msg) {
     if (free_.empty()) {
@@ -111,6 +142,12 @@ class MsgPool {
 
   [[nodiscard]] std::uint64_t acquired() const { return acquired_; }
   [[nodiscard]] std::uint64_t reused() const { return reused_; }
+  /// Hops ended by discard() (dead destination, admission shed).
+  [[nodiscard]] std::uint64_t discarded() const { return discarded_; }
+  /// Handles destroyed with neither take() nor discard() while this pool
+  /// was alive, outside a Flush. Zero in a run whose every path ends its
+  /// hop explicitly.
+  [[nodiscard]] std::uint64_t abandoned() const { return abandoned_; }
   [[nodiscard]] std::size_t capacity() const {
     return blocks_.size() * kBlockSize;
   }
@@ -139,6 +176,7 @@ class MsgPool {
     const std::lock_guard<std::mutex> lock(registry_mutex());
     const auto& pools = registry();
     if (std::find(pools.begin(), pools.end(), pool) != pools.end()) {
+      if (pool->flushing_ == 0) ++pool->abandoned_;
       pool->release(slot);
     }
   }
@@ -166,6 +204,9 @@ class MsgPool {
   std::vector<Msg*> free_;
   std::uint64_t acquired_ = 0;
   std::uint64_t reused_ = 0;
+  std::uint64_t discarded_ = 0;
+  std::uint64_t abandoned_ = 0;
+  int flushing_ = 0;
 };
 
 }  // namespace neutrino::core

@@ -17,19 +17,16 @@ Upf::Upf(System& system, UpfId id, std::uint32_t region)
       region_(region),
       pool_(system.loop(), system.topo().upf_cores) {}
 
-void Upf::deliver(Msg msg) {
+void Upf::deliver(MsgPool::Handle h) {
   const SimTime cost = system_->proto().upf_op_cost;
   if (obs::ProcTracer* tr = system_->tracer()) {
     const SimTime now = system_->loop().now();
     const SimTime queued = pool_.backlog();
-    tr->hop(msg, obs::HopClass::kQueueing, "upf", region_, now, now + queued);
-    tr->hop(msg, obs::HopClass::kService, "upf", region_, now + queued,
+    tr->hop(*h, obs::HopClass::kQueueing, "upf", region_, now, now + queued);
+    tr->hop(*h, obs::HopClass::kService, "upf", region_, now + queued,
             now + queued + cost);
   }
-  pool_.submit(cost,
-               [this, h = system_->msg_pool().acquire(std::move(msg))]() mutable {
-                 handle(h.take());
-               });
+  pool_.submit(cost, [this, h = std::move(h)]() mutable { handle(h.take()); });
 }
 
 void Upf::handle(Msg msg) {
@@ -125,15 +122,13 @@ void System::ue_to_cta(std::uint32_t region, Msg msg) {
   assert(owns_region(region) && "cross-shard UE->CTA is unsupported");
   trace_prop(msg, "ue->cta", region, topo_.latency.ue_to_cta);
   // All transports park the message in the pool so the event captures a
-  // handle (inline-schedulable) instead of a full Msg. take() runs first,
-  // unconditionally: it must free the slot even when the target is dead.
+  // handle (inline-schedulable) instead of a full Msg. The handle travels
+  // on into the destination's service job; a dead destination discards it
+  // (msg_pool.hpp has the contract).
   loop_->schedule_after(topo_.latency.ue_to_cta,
                         [this, region,
                          h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          Msg m = h.take();
-                          if (ctas_[region]->alive()) {
-                            ctas_[region]->deliver_uplink(std::move(m));
-                          }
+                          to_cta_uplink(region, std::move(h));
                         });
 }
 
@@ -159,10 +154,7 @@ void System::cta_to_cpf(std::uint32_t cta_region, CpfId cpf, Msg msg) {
   }
   loop_->schedule_after(
       latency, [this, cpf, h = msg_pool_.acquire(std::move(msg))]() mutable {
-        Msg m = h.take();
-        if (cpfs_[cpf.value()]->alive()) {
-          cpfs_[cpf.value()]->deliver(std::move(m));
-        }
+        to_cpf(cpf.value(), std::move(h));
       });
 }
 
@@ -180,10 +172,7 @@ void System::cpf_to_cta(CpfId from, std::uint32_t cta_region, Msg msg) {
   loop_->schedule_after(latency,
                         [this, cta_region,
                          h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          Msg m = h.take();
-                          if (ctas_[cta_region]->alive()) {
-                            ctas_[cta_region]->deliver_downlink(std::move(m));
-                          }
+                          to_cta_downlink(cta_region, std::move(h));
                         });
 }
 
@@ -199,10 +188,7 @@ void System::cpf_to_cpf(CpfId from, CpfId to, Msg msg) {
   }
   loop_->schedule_after(
       latency, [this, to, h = msg_pool_.acquire(std::move(msg))]() mutable {
-        Msg m = h.take();
-        if (cpfs_[to.value()]->alive()) {
-          cpfs_[to.value()]->deliver(std::move(m));
-        }
+        to_cpf(to.value(), std::move(h));
       });
 }
 
@@ -220,7 +206,7 @@ void System::cpf_to_upf(CpfId from, std::uint32_t upf_region, Msg msg) {
   loop_->schedule_after(latency,
                         [this, upf_region,
                          h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          upfs_[upf_region]->deliver(h.take());
+                          upfs_[upf_region]->deliver(std::move(h));
                         });
 }
 
@@ -237,10 +223,7 @@ void System::upf_to_cpf(std::uint32_t upf_region, CpfId cpf, Msg msg) {
   }
   loop_->schedule_after(
       latency, [this, cpf, h = msg_pool_.acquire(std::move(msg))]() mutable {
-        Msg m = h.take();
-        if (cpfs_[cpf.value()]->alive()) {
-          cpfs_[cpf.value()]->deliver(std::move(m));
-        }
+        to_cpf(cpf.value(), std::move(h));
       });
 }
 
@@ -254,10 +237,7 @@ void System::upf_to_cta(std::uint32_t upf_region, Msg msg) {
   loop_->schedule_after(topo_.latency.cpf_to_upf,
                         [this, upf_region,
                          h = msg_pool_.acquire(std::move(msg))]() mutable {
-                          Msg m = h.take();
-                          if (ctas_[upf_region]->alive()) {
-                            ctas_[upf_region]->deliver_uplink(std::move(m));
-                          }
+                          to_cta_uplink(upf_region, std::move(h));
                         });
 }
 
@@ -273,28 +253,45 @@ void System::deliver_envelope(SimTime arrival, ShardEnvelope envelope) {
   loop_->schedule_at(
       when, [this, dest, dest_id,
              h = msg_pool_.acquire(std::move(envelope.msg))]() mutable {
-        Msg m = h.take();
         switch (dest) {
           case ShardEnvelope::Dest::kCtaUplink:
-            if (ctas_[dest_id]->alive()) {
-              ctas_[dest_id]->deliver_uplink(std::move(m));
-            }
+            to_cta_uplink(dest_id, std::move(h));
             break;
           case ShardEnvelope::Dest::kCtaDownlink:
-            if (ctas_[dest_id]->alive()) {
-              ctas_[dest_id]->deliver_downlink(std::move(m));
-            }
+            to_cta_downlink(dest_id, std::move(h));
             break;
           case ShardEnvelope::Dest::kCpf:
-            if (cpfs_[dest_id]->alive()) {
-              cpfs_[dest_id]->deliver(std::move(m));
-            }
+            to_cpf(dest_id, std::move(h));
             break;
           case ShardEnvelope::Dest::kUpf:
-            upfs_[dest_id]->deliver(std::move(m));
+            upfs_[dest_id]->deliver(std::move(h));
             break;
         }
       });
+}
+
+void System::to_cta_uplink(std::uint32_t region, MsgPool::Handle h) {
+  if (ctas_[region]->alive()) {
+    ctas_[region]->deliver_uplink(std::move(h));
+  } else {
+    h.discard();
+  }
+}
+
+void System::to_cta_downlink(std::uint32_t region, MsgPool::Handle h) {
+  if (ctas_[region]->alive()) {
+    ctas_[region]->deliver_downlink(std::move(h));
+  } else {
+    h.discard();
+  }
+}
+
+void System::to_cpf(std::uint32_t cpf, MsgPool::Handle h) {
+  if (cpfs_[cpf]->alive()) {
+    cpfs_[cpf]->deliver(std::move(h));
+  } else {
+    h.discard();
+  }
 }
 
 void System::crash_cpf(CpfId id) {

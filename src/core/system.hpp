@@ -12,6 +12,7 @@
 
 #include "common/flat_hash_map.hpp"
 #include "common/hashing.hpp"
+#include "common/small_map.hpp"
 #include "core/cost_model.hpp"
 #include "core/invariants.hpp"
 #include "core/metrics.hpp"
@@ -59,7 +60,9 @@ class Upf {
  public:
   Upf(System& system, UpfId id, std::uint32_t region);
 
-  void deliver(Msg msg);  // network-level delivery (latency already applied)
+  /// Network-level delivery (latency already applied); the handle's slot
+  /// carries the message until the service job takes it.
+  void deliver(MsgPool::Handle h);
 
   /// Downlink data arrived for an (idle) UE: raise a Downlink Data
   /// Notification toward the control plane (the Fig. 2 scenario).
@@ -91,7 +94,7 @@ class Cpf {
  public:
   Cpf(System& system, CpfId id, std::uint32_t region);
 
-  void deliver(Msg msg);
+  void deliver(MsgPool::Handle h);
 
   void crash();
   void restore();
@@ -196,6 +199,8 @@ class Cpf {
   FlatHashMap<UeId, ProcCtx> procs_;
   /// Handover requests parked while fetching the UE state (§4.3 slow path).
   FlatHashMap<UeId, Msg> pending_handover_;
+  /// send_checkpoint()'s replica list, reused across checkpoints.
+  std::vector<CpfId> checkpoint_backups_;
 };
 
 // ---------------------------------------------------------------------------
@@ -207,9 +212,9 @@ class Cta {
   Cta(System& system, CtaId id, std::uint32_t region);
 
   /// From the UE/BS side.
-  void deliver_uplink(Msg msg);
+  void deliver_uplink(MsgPool::Handle h);
   /// From CPFs: responses toward the UE, checkpoint ACKs.
-  void deliver_downlink(Msg msg);
+  void deliver_downlink(MsgPool::Handle h);
 
   void on_cpf_failure(CpfId cpf);
   /// §4.1: the CTA performs CPF failure detection. Arms a periodic
@@ -226,6 +231,8 @@ class Cta {
   [[nodiscard]] CpfId route(UeId ue) const;
   /// Level-2 backup set for a UE homed in this CTA's region (§4.3).
   [[nodiscard]] std::vector<CpfId> backups(UeId ue) const;
+  /// backups() into a reused buffer (no allocation once it has grown).
+  void backups_into(UeId ue, std::vector<CpfId>& out) const;
   /// Pure level-1 ring owner (no liveness, no overrides, no pins) — the
   /// elastic handoff set is computed against this before and after churn.
   [[nodiscard]] CpfId hashed_primary(UeId ue) const;
@@ -285,7 +292,7 @@ class Cta {
   struct ProcedureLog {
     std::vector<LogEntry> entries;
     LogicalClock::Value end_lclock = 0;  // set by the checkpoint broadcast
-    std::unordered_set<std::uint32_t> acked_by;  // replica CPF ids
+    SmallSet<std::uint32_t, 4> acked_by;  // replica CPF ids
     SimTime first_logged;
   };
   struct UeRecord {
@@ -294,7 +301,7 @@ class Cta {
     /// checkpoint is a full-state snapshot, so ACKing k vouches for
     /// everything <= k). Entries are erased when the replica crashes: its
     /// volatile state — and the vouching — died with it.
-    FlatHashMap<std::uint32_t, std::uint64_t> acked_through;
+    SmallMap<std::uint32_t, std::uint64_t, 4> acked_through;
     std::uint64_t first_seq_logged = 0;
     std::uint64_t last_seq_logged = 0;
     std::optional<Msg> pending_request;  // in-flight, awaiting CPF response
@@ -523,6 +530,10 @@ class System {
   /// Level-2 backup set for a UE homed in `region`.
   [[nodiscard]] std::vector<CpfId> backups_for(UeId ue,
                                                std::uint32_t region) const;
+  void backups_into(UeId ue, std::uint32_t region,
+                    std::vector<CpfId>& out) const {
+    ctas_[region]->backups_into(ue, out);
+  }
   /// Pure ring owner for a UE homed in `region` (no liveness/overrides).
   [[nodiscard]] CpfId hashed_primary_for(UeId ue,
                                          std::uint32_t region) const {
@@ -614,6 +625,12 @@ class System {
   /// included, so sharded runs stay mirrored). Honors the
   /// elastic_skip_rering fault knob on owned, alive CTAs.
   void rering_all(CpfId id, bool add);
+
+  /// Local transport endpoints: hand the pooled message to the node, or
+  /// discard it if the node is down.
+  void to_cta_uplink(std::uint32_t region, MsgPool::Handle h);
+  void to_cta_downlink(std::uint32_t region, MsgPool::Handle h);
+  void to_cpf(std::uint32_t cpf, MsgPool::Handle h);
 
   /// Hand a message bound for a non-owned region to the cross-shard sink
   /// (arrival = now + latency, already past the current window's end).

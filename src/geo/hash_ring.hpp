@@ -76,7 +76,16 @@ class ConsistentHashRing {
   [[nodiscard]] std::vector<NodeT> successors(std::uint64_t key,
                                               std::size_t n) const {
     std::vector<NodeT> out;
-    if (ring_.empty()) return out;
+    successors_into(key, n, out);
+    return out;
+  }
+
+  /// successors() into a caller-owned buffer (cleared first), so a hot
+  /// caller reusing one buffer does not allocate.
+  void successors_into(std::uint64_t key, std::size_t n,
+                       std::vector<NodeT>& out) const {
+    out.clear();
+    if (ring_.empty()) return;
     const std::uint64_t pos = mix64(key);
     auto it = std::lower_bound(ring_.begin(), ring_.end(), pos,
                                [](const Entry& e, std::uint64_t p) {
@@ -90,7 +99,6 @@ class ConsistentHashRing {
       }
       ++it;
     }
-    return out;
   }
 
  private:

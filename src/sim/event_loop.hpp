@@ -6,20 +6,25 @@
 // failure timers. Determinism (stable tie-break by insertion sequence)
 // makes every experiment and test exactly reproducible.
 //
-// Internals are built for million-UE storms: a 4-ary implicit heap over
-// small-buffer-optimized InlineTask callbacks (no per-event allocation for
-// captures ≤ 48 bytes), fronted by an optional hashed timer wheel that
-// absorbs the dominant near-future fixed-delay schedules. Ordering is
-// bit-for-bit identical to a (when, seq) priority queue regardless of
-// which structure an event lands in: the wheel drains one granularity
-// tick at a time into a sorted buffer that is merged against the heap
-// strictly by (when, seq).
+// Internals are built for million-UE storms. A callback is constructed
+// once, in place, into a chunked slab of small-buffer-optimized
+// InlineTasks (no per-event allocation for captures ≤ 48 bytes; chunks
+// never move, so a callback that schedules while the slab grows stays
+// valid). It runs in place, then its slot is reset and reused. The
+// ordering structures hold only 24-byte (when, seq, slot) keys: a 4-ary
+// implicit heap, fronted by an optional hashed timer wheel that absorbs
+// the dominant near-future fixed-delay schedules. Ordering is bit-for-bit
+// identical to a (when, seq) priority queue regardless of which structure
+// a key lands in: the wheel drains one granularity tick at a time into a
+// sorted buffer that is merged against the heap strictly by (when, seq).
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -62,8 +67,12 @@ class alignas(64) EventLoop {
 
   [[nodiscard]] SimTime now() const { return now_; }
 
-  void schedule_at(SimTime when, Callback cb) {
-    Event ev{when, next_seq_++, std::move(cb)};
+  /// Schedule `cb` (any void() callable, or a Callback) to run at `when`.
+  template <typename F>
+  void schedule_at(SimTime when, F&& cb) {
+    const std::uint32_t slot = alloc_slot();
+    task(slot).emplace(std::forward<F>(cb));
+    const Key ev{when, next_seq_++, slot};
     ++pending_;
     if (wheel_enabled_) {
       if (wheel_count_ == 0 && drain_pos_ >= drain_.size()) {
@@ -75,18 +84,20 @@ class alignas(64) EventLoop {
       const std::int64_t tick = tick_of(when);
       if (tick >= cursor_tick_ &&
           static_cast<std::uint64_t>(tick - cursor_tick_) < slots_) {
-        const std::size_t slot = static_cast<std::size_t>(tick) & (slots_ - 1);
-        buckets_[slot].push_back(std::move(ev));
-        occupancy_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        const std::size_t bucket =
+            static_cast<std::size_t>(tick) & (slots_ - 1);
+        buckets_[bucket].push_back(ev);
+        occupancy_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
         ++wheel_count_;
         return;
       }
     }
-    heap_push(std::move(ev));
+    heap_push(ev);
   }
 
-  void schedule_after(SimTime delay, Callback cb) {
-    schedule_at(now_ + delay, std::move(cb));
+  template <typename F>
+  void schedule_after(SimTime delay, F&& cb) {
+    schedule_at(now_ + delay, std::forward<F>(cb));
   }
 
   /// Run events until the queue drains or the horizon passes. Events at
@@ -98,21 +109,13 @@ class alignas(64) EventLoop {
       maybe_refill();
       if (drain_pos_ < drain_.size() &&
           (heap_.empty() || before(drain_[drain_pos_], heap_[0]))) {
-        Event& front = drain_[drain_pos_];
+        const Key front = drain_[drain_pos_];
         if (front.when > horizon) break;
         ++drain_pos_;
-        now_ = front.when;
-        --pending_;
-        ++executed_;
-        InlineTask task = std::move(front.task);
-        task();
+        dispatch(front);
       } else {
         if (heap_[0].when > horizon) break;
-        Event ev = heap_pop();
-        now_ = ev.when;
-        --pending_;
-        ++executed_;
-        ev.task();
+        dispatch(heap_pop());
       }
     }
     if (now_ < horizon) now_ = horizon;
@@ -137,13 +140,20 @@ class alignas(64) EventLoop {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
  private:
-  struct Event {
+  /// What the heap and wheel order: the callback itself stays in its slab
+  /// slot from schedule to dispatch.
+  struct Key {
     SimTime when;
-    std::uint64_t seq;  // deterministic FIFO tie-break at equal times
-    InlineTask task;
+    std::uint64_t seq;   // deterministic FIFO tie-break at equal times
+    std::uint32_t slot;  // index into the task slab
   };
+  static_assert(sizeof(Key) <= 24, "event key size budget");
 
-  static bool before(const Event& a, const Event& b) {
+  // Slab geometry: 1024 tasks (64 KiB) per chunk.
+  static constexpr unsigned kChunkShift = 10;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+
+  static bool before(const Key& a, const Key& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
@@ -154,12 +164,44 @@ class alignas(64) EventLoop {
     return t.ns() / granule_;
   }
 
-  void step() {
-    Event ev = pop_next();
+  void step() { dispatch(pop_next()); }
+
+  InlineTask& task(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
+  }
+
+  std::uint32_t alloc_slot() {
+    if (free_slots_.empty()) grow_slab();
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+
+  void grow_slab() {
+    const auto base =
+        static_cast<std::uint32_t>(chunks_.size() << kChunkShift);
+    chunks_.push_back(std::make_unique<InlineTask[]>(kChunkSize));
+    // Room for every slot, so freeing a slot never allocates.
+    const std::size_t slots = chunks_.size() << kChunkShift;
+    if (free_slots_.capacity() < slots) {
+      free_slots_.reserve(std::max(slots, 2 * free_slots_.capacity()));
+    }
+    for (std::uint32_t i = kChunkSize; i > 0; --i) {
+      free_slots_.push_back(base + i - 1);
+    }
+  }
+
+  /// Run one event in place. Chunks never move, so `cb` stays valid even
+  /// if it schedules enough to grow the slab; its slot is freed only after
+  /// it returns.
+  void dispatch(Key ev) {
     now_ = ev.when;
     --pending_;
     ++executed_;
-    ev.task();
+    InlineTask& cb = task(ev.slot);
+    cb();
+    cb.reset();
+    free_slots_.push_back(ev.slot);
   }
 
   /// Timestamp of the next event; only valid when pending_ > 0.
@@ -172,11 +214,11 @@ class alignas(64) EventLoop {
     return heap_[0].when;
   }
 
-  Event pop_next() {
+  Key pop_next() {
     maybe_refill();
     if (drain_pos_ < drain_.size() &&
         (heap_.empty() || before(drain_[drain_pos_], heap_[0]))) {
-      return std::move(drain_[drain_pos_++]);
+      return drain_[drain_pos_++];
     }
     return heap_pop();
   }
@@ -248,23 +290,22 @@ class alignas(64) EventLoop {
     }
   }
 
-  void heap_push(Event ev) {
+  void heap_push(Key ev) {
     std::size_t i = heap_.size();
-    heap_.push_back(std::move(ev));
-    Event tmp = std::move(heap_[i]);
+    heap_.push_back(ev);
     while (i > 0) {
       const std::size_t parent = (i - 1) >> 2;
-      if (!before(tmp, heap_[parent])) break;
-      heap_[i] = std::move(heap_[parent]);
+      if (!before(ev, heap_[parent])) break;
+      heap_[i] = heap_[parent];
       i = parent;
     }
-    heap_[i] = std::move(tmp);
+    heap_[i] = ev;
   }
 
-  Event heap_pop() {
+  Key heap_pop() {
     assert(!heap_.empty());
-    Event top = std::move(heap_[0]);
-    Event last = std::move(heap_.back());
+    const Key top = heap_[0];
+    const Key last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
       std::size_t i = 0;
@@ -278,10 +319,10 @@ class alignas(64) EventLoop {
           if (before(heap_[c], heap_[best])) best = c;
         }
         if (!before(heap_[best], last)) break;
-        heap_[i] = std::move(heap_[best]);
+        heap_[i] = heap_[best];
         i = best;
       }
-      heap_[i] = std::move(last);
+      heap_[i] = last;
     }
     return top;
   }
@@ -297,11 +338,16 @@ class alignas(64) EventLoop {
   std::size_t wheel_count_ = 0;
   std::int64_t cursor_tick_ = 0;
 
-  std::vector<Event> drain_;  // current tick, sorted by (when, seq)
+  std::vector<Key> drain_;  // current tick, sorted by (when, seq)
 
   // 4-ary implicit heap: shallower than binary (better for the sift-down
-  // on pop) and the 4 children share cache lines at 80-byte events.
-  std::vector<Event> heap_;
+  // on pop), and a node's 4 children are 96 contiguous bytes of keys.
+  std::vector<Key> heap_;
+
+  // Task slab: fixed-size chunks (stable addresses) plus a LIFO free list
+  // of slot indices, so a freed slot is reused while still cache-hot.
+  std::vector<std::unique_ptr<InlineTask[]>> chunks_;
+  std::vector<std::uint32_t> free_slots_;
 
   // Timer wheel state. Invariant: every bucket holds events of at most one
   // tick value, and that tick is in [cursor_tick_, cursor_tick_ + slots_);
@@ -309,7 +355,7 @@ class alignas(64) EventLoop {
   bool wheel_enabled_;
   std::int64_t granule_;
   std::size_t slots_;
-  std::vector<std::vector<Event>> buckets_;
+  std::vector<std::vector<Key>> buckets_;
   std::vector<std::uint64_t> occupancy_;
 };
 

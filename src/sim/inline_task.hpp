@@ -28,13 +28,7 @@ class InlineTask {
                                         std::is_invocable_r_v<void, D&>>>
   InlineTask(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                        // the old `std::function<void()>` callback type.
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ptr_slot() = new D(std::forward<F>(f));
-      ops_ = &kHeapOps<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   InlineTask(InlineTask&& other) noexcept : ops_(other.ops_) {
@@ -78,6 +72,19 @@ class InlineTask {
     }
   }
 
+  /// Replace the callable with `f`, built directly in this task's storage
+  /// (no temporary task, no relocation). An InlineTask argument is moved.
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<D, InlineTask>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "pass tasks by rvalue");
+      *this = std::move(f);
+    } else {
+      reset();
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
  private:
   struct Ops {
     void (*invoke)(void* self);
@@ -87,6 +94,17 @@ class InlineTask {
     void (*destroy)(void* self);
     bool heap;
   };
+
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      ops_ = &kInlineOps<D>;
+    } else {
+      ptr_slot() = new D(std::forward<F>(f));
+      ops_ = &kHeapOps<D>;
+    }
+  }
 
   template <typename D>
   static constexpr bool fits_inline() {

@@ -18,10 +18,11 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
-#include "common/flat_hash_map.hpp"
 #include "sim/event_loop.hpp"
 
 namespace neutrino::sim {
@@ -81,36 +82,45 @@ class ServerPool {
   /// Enqueue a job taking `service` time; `done` fires at completion.
   /// Returns the completion time. Never rejects — use try_submit for
   /// load-sheddable work.
-  SimTime submit(SimTime service, EventLoop::Callback done) {
+  template <typename F>
+  SimTime submit(SimTime service, F&& done) {
     // Earliest-free core serves the job (FIFO across the pool).
     auto it = std::min_element(core_free_.begin(), core_free_.end());
     const SimTime start = std::max(*it, loop_->now());
     const SimTime finish = start + service;
     *it = finish;
-    const std::uint64_t my_generation = generation_;
+    const std::uint32_t my_generation = generation_;
     ++inflight_;
     peak_depth_ = std::max(peak_depth_, inflight_);
-    // The callback parks in a slot map so the scheduled event captures
-    // only {this, id, generation} (24 bytes — inline in the event loop).
+    // The callback parks in a job slot so the scheduled event captures
+    // only {this, slot, generation} (16 bytes — inline in the event loop).
     // Capturing the InlineTask itself would nest one task inside another
     // and overflow the inline buffer.
-    const std::uint64_t id = next_job_id_++;
-    tasks_.try_emplace(id, std::move(done));
-    loop_->schedule_at(finish, [this, id, my_generation] {
+    std::uint32_t slot;
+    if (free_parked_.empty()) {
+      slot = static_cast<std::uint32_t>(parked_.size());
+      parked_.emplace_back();
+    } else {
+      slot = free_parked_.back();
+      free_parked_.pop_back();
+    }
+    parked_[slot].emplace(std::forward<F>(done));
+    loop_->schedule_at(finish, [this, slot, my_generation] {
       // Generation fence: reset() (crash) bumps generation_ and drops all
       // parked callbacks, so a completion scheduled before the crash must
       // no-op here. Work lost this way is NOT redelivered by the pool —
       // redriving is the caller's job (the overload path retransmits
       // dropped/timed-out procedures from the UE side), and a re-driven
-      // job is a fresh submission under the new generation with its own
-      // slot id, so it delivers exactly once regardless of how many stale
-      // completions from the old incarnation still sit in the event loop.
+      // job is a fresh submission under the new generation, so it
+      // delivers exactly once regardless of how many stale completions
+      // from the old incarnation still sit in the event loop — they return
+      // here, before touching a slot the new generation may have reused.
       if (my_generation != generation_) return;
       --inflight_;
-      const auto it = tasks_.find(id);
-      assert(it != tasks_.end());
-      EventLoop::Callback cb = std::move(it->second);
-      tasks_.erase(it);
+      // Moved out before running: the job may submit more work, and the
+      // slot vector can reallocate under it.
+      EventLoop::Callback cb = std::move(parked_[slot]);
+      free_parked_.push_back(slot);
       cb();
     });
     busy_accum_ += service;
@@ -156,7 +166,8 @@ class ServerPool {
   void reset() {
     ++generation_;
     inflight_ = 0;
-    tasks_.clear();
+    parked_.clear();
+    free_parked_.clear();
     std::fill(core_free_.begin(), core_free_.end(), SimTime{});
   }
 
@@ -170,9 +181,10 @@ class ServerPool {
  private:
   EventLoop* loop_;
   std::vector<SimTime> core_free_;
-  FlatHashMap<std::uint64_t, EventLoop::Callback> tasks_;
-  std::uint64_t next_job_id_ = 0;
-  std::uint64_t generation_ = 0;
+  // Parked callbacks of queued jobs, indexed by slot, plus the free slots.
+  std::vector<EventLoop::Callback> parked_;
+  std::vector<std::uint32_t> free_parked_;
+  std::uint32_t generation_ = 0;
   std::size_t inflight_ = 0;
   std::size_t peak_depth_ = 0;
   std::size_t capacity_ = 0;      // 0 = unbounded

@@ -4,8 +4,12 @@
 // and none of it may cost a Read-your-Writes violation or a stuck UE.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "core/sharded_system.hpp"
 #include "core/system.hpp"
+#include "trace/workload.hpp"
 
 namespace neutrino::core {
 namespace {
@@ -156,6 +160,123 @@ TEST(CoreOverload, KnobsOffChangesNothing) {
   EXPECT_EQ(h.metrics.overload_drops, 0u);
   EXPECT_EQ(h.metrics.nas_retransmissions, 0u);
   EXPECT_EQ(h.metrics.retx_exhausted, 0u);
+}
+
+// --- MsgPool slot accounting under overload + crash -------------------------
+
+/// Two regions, bounded CTA and CPF queues: an attach burst, then a
+/// service-request burst, with a CPF crashing mid-burst and coming back.
+struct SlotAccountingRun {
+  static constexpr std::uint64_t kUes = 120;
+  static ProtocolConfig proto() {
+    ProtocolConfig p = overload_proto(/*cta_cap=*/4, /*cpf_cap=*/2, 0.5);
+    p.ack_timeout = SimTime::milliseconds(500);
+    p.log_scan_interval = SimTime::milliseconds(100);
+    return p;
+  }
+  static TopologyConfig topo() {
+    TopologyConfig t;
+    t.l1_per_l2 = 2;
+    return t;
+  }
+  static std::vector<trace::TraceRecord> records() {
+    std::vector<trace::TraceRecord> out;
+    for (std::uint64_t ue = 0; ue < kUes; ++ue) {
+      trace::TraceRecord rec;
+      rec.at = SimTime::microseconds(static_cast<std::int64_t>(ue % 40));
+      rec.ue = UeId(ue);
+      rec.type = ProcedureType::kAttach;
+      out.push_back(rec);
+    }
+    for (std::uint64_t ue = 0; ue < kUes; ++ue) {
+      trace::TraceRecord rec;
+      rec.at = SimTime::milliseconds(400) +
+               SimTime::microseconds(static_cast<std::int64_t>(ue % 30));
+      rec.ue = UeId(ue);
+      rec.type = ProcedureType::kServiceRequest;
+      out.push_back(rec);
+    }
+    trace::sort_records(out);
+    return out;
+  }
+  static constexpr SimTime crash_at() { return SimTime::microseconds(150); }
+  static constexpr SimTime restore_at() { return SimTime::milliseconds(60); }
+  static constexpr SimTime horizon() { return SimTime::seconds(30); }
+};
+
+/// Every hop in `sys` ended with take() or discard(), and none is left.
+void expect_slots_accounted(System& sys) {
+  const MsgPool& pool = sys.msg_pool();
+  EXPECT_GT(pool.acquired(), 0u);
+  EXPECT_EQ(pool.outstanding(), 0u);
+  EXPECT_EQ(pool.abandoned(), 0u);
+}
+
+TEST(CoreOverloadSlots, ShedsAndCrashDropsReturnEverySlot) {
+  Harness h(SlotAccountingRun::proto(), neutrino_policy(),
+            SlotAccountingRun::topo());
+  trace::replay(*h.system, SlotAccountingRun::records());
+  const CpfId doomed = h.system->primary_cpf_for(UeId{0}, 0);
+  h.loop.schedule_at(SlotAccountingRun::crash_at(),
+                     [&] { h.system->crash_cpf(doomed); });
+  h.loop.schedule_at(SlotAccountingRun::restore_at(),
+                     [&] { h.system->restore_cpf(doomed); });
+  h.run_to(SlotAccountingRun::horizon());
+  ASSERT_TRUE(h.loop.empty());
+
+  std::uint64_t cta_sheds = 0;
+  std::uint64_t cpf_sheds = 0;
+  for (std::size_t c = 0; c < sim::kJobClasses; ++c) {
+    const auto cls = static_cast<sim::JobClass>(c);
+    for (std::uint32_t r = 0; r < 2; ++r) {
+      cta_sheds += h.system->cta(r).pool_drops(cls);
+    }
+    for (int cpf = 0; cpf < h.system->topo().total_cpfs(); ++cpf) {
+      cpf_sheds += h.system->cpf(CpfId(static_cast<std::uint32_t>(cpf)))
+                       .request_drops(cls);
+    }
+  }
+  EXPECT_GT(cta_sheds, 0u);
+  EXPECT_GT(cpf_sheds, 0u);
+  EXPECT_EQ(h.metrics.attach_sheds + h.metrics.overload_drops,
+            cta_sheds + cpf_sheds);
+  expect_slots_accounted(*h.system);
+  // Discards beyond the admission sheds are dead-node drops.
+  EXPECT_GT(h.system->msg_pool().discarded(), cta_sheds + cpf_sheds);
+  EXPECT_EQ(h.metrics.ryw_violations, 0u);
+  for (std::uint64_t ue = 0; ue < SlotAccountingRun::kUes; ++ue) {
+    EXPECT_TRUE(h.system->frontend().is_attached(UeId{ue})) << "ue " << ue;
+  }
+}
+
+TEST(CoreOverloadSlots, ShardedRunReturnsEverySlotOnEveryShard) {
+  ShardedSystem::Config cfg;
+  cfg.policy = neutrino_policy();
+  cfg.topo = SlotAccountingRun::topo();
+  cfg.proto = SlotAccountingRun::proto();
+  cfg.shards = 2;
+  cfg.threads = 2;
+  FixedCostModel costs{SimTime::microseconds(10)};
+  ShardedSystem sharded(cfg, costs);
+  sharded.replay(SlotAccountingRun::records());
+  const CpfId doomed = sharded.system(0).primary_cpf_for(UeId{0}, 0);
+  sharded.schedule_crash(SlotAccountingRun::crash_at(), doomed);
+  sharded.schedule_restore(SlotAccountingRun::restore_at(), doomed);
+  sharded.run_until(SlotAccountingRun::horizon());
+
+  std::uint64_t sheds = 0;
+  std::uint64_t discards = 0;
+  for (std::uint32_t shard = 0; shard < sharded.shards(); ++shard) {
+    SCOPED_TRACE(shard);
+    ASSERT_TRUE(sharded.system(shard).loop().empty());
+    expect_slots_accounted(sharded.system(shard));
+    const Metrics& m = sharded.metrics(shard);
+    EXPECT_EQ(m.ryw_violations, 0u);
+    sheds += m.attach_sheds + m.overload_drops;
+    discards += sharded.system(shard).msg_pool().discarded();
+  }
+  EXPECT_GT(sheds, 0u);
+  EXPECT_GT(discards, sheds);  // dead-node drops too
 }
 
 }  // namespace

@@ -66,6 +66,29 @@ TEST(Attach, CheckpointsReachAllBackups) {
   EXPECT_EQ(h.metrics.checkpoint_acks, 2u);
 }
 
+TEST(Attach, SixBackupsAllAckAndPruneTheLog) {
+  // More replicas than the CTA's ACK bookkeeping holds inline: the sets
+  // spill to the heap, and the procedure still prunes on the sixth ACK.
+  CorePolicy policy = neutrino_policy();
+  policy.num_backups = 6;
+  TopologyConfig topo;
+  topo.cpfs_per_region = 8;
+  Harness h(policy, topo);
+  const UeId ue{42};
+  h.system->frontend().start_procedure(ue, ProcedureType::kAttach);
+  h.run();
+
+  EXPECT_TRUE(h.system->frontend().is_attached(ue));
+  const auto backups = h.system->backups_for(ue, 0);
+  ASSERT_EQ(backups.size(), 6u);
+  for (const CpfId b : backups) {
+    EXPECT_TRUE(h.system->cpf(b).has_up_to_date(ue)) << b.value();
+  }
+  EXPECT_EQ(h.metrics.checkpoint_acks, 6u);
+  EXPECT_EQ(h.metrics.log_prunes, 1u);
+  EXPECT_EQ(h.system->cta(0).log_messages(), 0u);
+}
+
 TEST(Attach, LogIsPrunedAfterAllAcks) {
   Harness h(neutrino_policy());
   h.system->frontend().start_procedure(UeId{42}, ProcedureType::kAttach);

@@ -1,11 +1,14 @@
-// Differential determinism proof for the event-loop rewrite: the 4-ary
-// heap + timer wheel must dispatch in the exact (when, seq) order the
-// seed's std::priority_queue produced — first on adversarial synthetic
-// schedules, then on a full core workload with crash + replay, where any
-// ordering divergence would surface as different counters, latency
-// distributions, or trace hop timelines.
+// Differential determinism proof for the event loop: the keyed 4-ary heap
+// + timer wheel over a task slab must dispatch in the exact (when, seq)
+// order the seed's std::priority_queue produced — first on adversarial
+// synthetic schedules (slab growth mid-callback, same-nanosecond
+// re-entrant schedules, slot reuse across run_until horizons), then on a
+// full core workload with crash + replay, where any ordering divergence
+// would surface as different counters, latency distributions, or trace
+// hop timelines.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/msg_pool.hpp"
 #include "core/system.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_loop.hpp"
@@ -33,13 +37,16 @@ class LegacyLoop {
     schedule_at(now_ + delay, std::move(cb));
   }
 
-  void run() {
-    while (!queue_.empty()) {
+  void run() { run_until(SimTime::max()); }
+
+  void run_until(SimTime horizon) {
+    while (!queue_.empty() && queue_.top().when <= horizon) {
       Event ev = std::move(const_cast<Event&>(queue_.top()));
       queue_.pop();
       now_ = ev.when;
       ev.callback();
     }
+    if (now_ < horizon) now_ = horizon;
   }
 
  private:
@@ -145,6 +152,141 @@ TEST(DeterminismPureLoop, CoarseWheelGranularityPreservesOrder) {
   cfg.wheel_slots = 64;
   sim::EventLoop loop(cfg);
   EXPECT_EQ(dispatch_order(loop, plans, child_delay), want);
+}
+
+/// Runs `script` on the legacy oracle and on the keyed loop with the
+/// wheel on and off; all three must record the same dispatch order.
+template <typename Script>
+void expect_matches_legacy(Script script) {
+  LegacyLoop legacy;
+  const std::vector<int> want = script(legacy);
+  ASSERT_FALSE(want.empty());
+  for (const bool wheel : {true, false}) {
+    sim::EventLoop::Config cfg;
+    cfg.use_timer_wheel = wheel;
+    sim::EventLoop loop(cfg);
+    EXPECT_EQ(script(loop), want) << "wheel " << wheel;
+  }
+}
+
+TEST(DeterminismPureLoop, SlabGrowthInsideACallbackPreservesOrder) {
+  // One callback schedules 12K events from inside itself, growing the
+  // task slab by several chunks while it runs, then reads its own
+  // (48-byte, inline) captures: they live in the slab, so a slab that
+  // moved its tasks would fail here (and under ASan).
+  expect_matches_legacy([](auto& loop) {
+    std::vector<int> order;
+    const std::vector<std::int64_t> delays = {0, 1, 700, 1'000, 65'000,
+                                              5'000'000};
+    loop.schedule_at(SimTime::nanoseconds(3'000), [&order] {
+      order.push_back(-1);
+    });
+    loop.schedule_at(
+        SimTime::nanoseconds(3'000),
+        [&loop, &order, &delays, tag = 7, pad = std::array<int, 4>{1, 2, 3, 4}] {
+          for (int i = 0; i < 12'000; ++i) {
+            const std::int64_t d =
+                delays[static_cast<std::size_t>(i) % delays.size()] + i % 3;
+            loop.schedule_after(SimTime::nanoseconds(d), [&order, i] {
+              order.push_back(i);
+            });
+          }
+          order.push_back(-tag * 100 - pad[0] - pad[3]);
+        });
+    loop.schedule_at(SimTime::nanoseconds(3'000), [&order] {
+      order.push_back(-2);
+    });
+    loop.run();
+    return order;
+  });
+}
+
+TEST(DeterminismPureLoop, SameNanosecondReentrantSchedulesPreserveOrder) {
+  // Events at one timestamp schedule children at now() — a tick the wheel
+  // has already drained — which schedule grandchildren at now() again,
+  // interleaved with pre-scheduled peers at the same and the next ns.
+  expect_matches_legacy([](auto& loop) {
+    std::vector<int> order;
+    std::function<void(int, int)> spawn = [&](int id, int depth) {
+      order.push_back(id);
+      if (depth == 0) return;
+      for (int k = 0; k < 3; ++k) {
+        loop.schedule_after(SimTime{}, [&spawn, id, depth, k] {
+          spawn(id * 4 + k + 1, depth - 1);
+        });
+      }
+    };
+    for (int i = 0; i < 40; ++i) {
+      const SimTime at = SimTime::nanoseconds(5'000 + i % 2);
+      loop.schedule_at(at, [&spawn, i] { spawn(10'000 * (i + 1), 4); });
+    }
+    loop.run();
+    return order;
+  });
+}
+
+TEST(DeterminismPureLoop, SlotReuseAcrossRunUntilHorizonsPreservesOrder) {
+  // Rounds of run_until with fresh schedules in between: every round
+  // frees slots that the next round's schedules reuse while older keys
+  // (some far past the horizon, on the heap) are still queued.
+  expect_matches_legacy([](auto& loop) {
+    std::vector<int> order;
+    Rng rng(42);
+    int next_id = 0;
+    for (int round = 0; round < 60; ++round) {
+      for (int i = 0; i < 150; ++i) {
+        const int id = next_id++;
+        const double dice = rng.next_double();
+        const std::int64_t ahead =
+            dice < 0.7   ? static_cast<std::int64_t>(rng.next_below(50'000))
+            : dice < 0.9 ? static_cast<std::int64_t>(rng.next_below(5'000'000))
+                         : static_cast<std::int64_t>(rng.next_below(90'000'000));
+        loop.schedule_after(SimTime::nanoseconds(ahead), [&loop, &order, id] {
+          order.push_back(id);
+          if (id % 7 == 0) {
+            loop.schedule_after(SimTime::nanoseconds(id % 3 * 1'000),
+                                [&order, id] { order.push_back(-id - 1); });
+          }
+        });
+      }
+      loop.run_until(loop.now() + SimTime::nanoseconds(20'000));
+    }
+    loop.run();
+    return order;
+  });
+}
+
+TEST(DeterminismPureLoop, DestroyingLoopWithPendingHandlesReturnsSlots) {
+  // A loop torn down mid-run while its pending tasks still hold MsgPool
+  // handles: every slot goes back to the (still live) pool, and each of
+  // those handles counts as abandoned (neither taken nor discarded).
+  for (const bool wheel : {true, false}) {
+    core::MsgPool pool;
+    std::uint64_t delivered = 0;
+    std::size_t pending = 0;
+    {
+      sim::EventLoop::Config cfg;
+      cfg.use_timer_wheel = wheel;
+      sim::EventLoop loop(cfg);
+      for (int i = 0; i < 3'000; ++i) {
+        core::Msg m;
+        m.proc_seq = static_cast<std::uint64_t>(i);
+        loop.schedule_at(SimTime::nanoseconds(i % 50 * 97'000 + i),
+                         [&delivered, h = pool.acquire(std::move(m))]() mutable {
+                           (void)h.take();
+                           ++delivered;
+                         });
+      }
+      loop.run_until(SimTime::nanoseconds(2'000'000));
+      pending = loop.pending();
+      ASSERT_GT(pending, 0u);
+      ASSERT_GT(delivered, 0u);
+      EXPECT_EQ(pool.outstanding(), pending) << "wheel " << wheel;
+    }
+    EXPECT_EQ(pool.outstanding(), 0u) << "wheel " << wheel;
+    EXPECT_EQ(pool.abandoned(), pending) << "wheel " << wheel;
+    EXPECT_EQ(delivered + pending, 3'000u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 // FlatHashMap: growth, tombstone deletion, erase-during-iteration, and
-// the iterator-free lookup path the simulator's hot paths use.
+// the iterator-free lookup path the simulator's hot paths use. SmallSet /
+// SmallMap: inline-first storage that spills to the heap past N.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
 
 #include "common/flat_hash_map.hpp"
+#include "common/small_map.hpp"
 
 namespace neutrino {
 namespace {
@@ -201,6 +204,49 @@ TEST(FlatHashMap, SequentialIdsDoNotCluster) {
   for (std::uint64_t k = 1u << 20; k < (1u << 20) + 1000; ++k) {
     EXPECT_FALSE(m.contains(k));
   }
+}
+
+TEST(SmallSet, SpillsPastInlineCapacityAndComesBack) {
+  SmallSet<std::uint32_t, 2> s;
+  for (std::uint32_t k = 0; k < 5; ++k) s.insert(k);
+  s.insert(3);  // duplicate
+  EXPECT_EQ(s.size(), 5u);
+  for (std::uint32_t k = 0; k < 5; ++k) EXPECT_TRUE(s.contains(k));
+  EXPECT_FALSE(s.contains(5));
+  for (std::uint32_t k = 0; k < 5; k += 2) s.erase(k);
+  s.erase(9);  // absent
+  EXPECT_EQ(s.size(), 2u);
+  EXPECT_TRUE(s.contains(1));
+  EXPECT_TRUE(s.contains(3));
+  EXPECT_FALSE(s.contains(0));
+  s.erase(1);
+  s.erase(3);
+  EXPECT_EQ(s.size(), 0u);
+  s.insert(7);  // inline again
+  EXPECT_EQ(s.size(), 1u);
+  EXPECT_TRUE(s.contains(7));
+}
+
+TEST(SmallMap, IndexLookupEraseClearAcrossSpill) {
+  SmallMap<std::uint32_t, std::uint64_t, 2> m;
+  EXPECT_EQ(m.lookup(1), nullptr);
+  EXPECT_EQ(m[1], 0u);  // value-initialized on first access
+  for (std::uint32_t k = 0; k < 6; ++k) m[k] = 10 * k;
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    ASSERT_NE(m.lookup(k), nullptr);
+    EXPECT_EQ(*m.lookup(k), 10u * k);
+  }
+  m[4] = std::max<std::uint64_t>(m[4], 7);
+  EXPECT_EQ(*m.lookup(4), 40u);
+  m.erase(0);
+  m.erase(5);
+  EXPECT_EQ(m.lookup(0), nullptr);
+  EXPECT_EQ(m.lookup(5), nullptr);
+  EXPECT_EQ(*m.lookup(3), 30u);
+  m.clear();
+  for (std::uint32_t k = 0; k < 6; ++k) EXPECT_EQ(m.lookup(k), nullptr);
+  m[2] = 5;
+  EXPECT_EQ(*m.lookup(2), 5u);
 }
 
 }  // namespace
