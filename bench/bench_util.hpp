@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -19,7 +20,6 @@
 
 #include "core/cost_model.hpp"
 #include "core/sharded_system.hpp"
-#include "core/system.hpp"
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/slo.hpp"
@@ -51,13 +51,13 @@ inline core::LatencyConfig testbed_latencies() {
 struct ExperimentResult {
   core::Metrics metrics;
   double sim_seconds = 0;
-  /// Events the loop dispatched and the wall-clock it took: the
+  /// Events the loops dispatched and the wall-clock it took: the
   /// events/sec throughput figure for scale benches.
   std::uint64_t events_executed = 0;
   double wall_seconds = 0;
-  /// Sharded-runtime runs only (run_sharded_experiment): partitioning,
-  /// conservative-window and cross-shard traffic figures. shard_events is
-  /// empty for legacy single-threaded runs — report rows key off that.
+  /// Partitioning, conservative-window and cross-shard traffic figures.
+  /// Reports carry them for multi-shard runs only (shards > 1): one shard
+  /// is the single-threaded loop, with one window and no cross traffic.
   std::uint32_t shards = 1;
   std::uint32_t threads = 1;
   std::uint64_t windows = 0;
@@ -70,8 +70,8 @@ struct ExperimentResult {
   std::vector<std::uint64_t> shard_events;
   /// Retained for --trace-out export when the run traced (null otherwise).
   std::unique_ptr<obs::ProcTracer> tracer;
-  /// Per-window shard activity (sharded runs with record_trace_events):
-  /// the Perfetto shard tracks.
+  /// Per-window shard activity (multi-shard runs with
+  /// record_trace_events): the Perfetto shard tracks.
   std::vector<obs::ShardWindowRecord> window_log;
 };
 
@@ -79,6 +79,12 @@ struct ExperimentConfig {
   core::CorePolicy policy;
   core::TopologyConfig topo;
   core::ProtocolConfig proto;
+  /// The topology is partitioned across `shards` conservatively
+  /// synchronized event loops run by `threads` workers (DESIGN.md §11).
+  /// Outcomes are identical for every thread count at a fixed shard
+  /// count, and one shard is the single-threaded loop, bit for bit.
+  std::uint32_t shards = 1;
+  std::uint32_t threads = 1;
   /// Pre-attach this many UEs (ids [0, n)) round-robin across regions.
   std::uint64_t preattached_ues = 0;
   /// Run this long past the last scheduled arrival.
@@ -87,7 +93,8 @@ struct ExperimentConfig {
   /// procedure's latency is split by hop class into the result registry's
   /// "core.pct_decomp_ms{component=..,proc=..}" histograms (components
   /// tile the PCT exactly; "total" is recorded alongside). Off by
-  /// default — tracing then costs one null test per hop site.
+  /// default — tracing then costs one null test per hop site. One-shard
+  /// runs only.
   bool trace_decomposition = false;
   /// Constant-memory PCT accounting (streaming mean/max, no retained
   /// samples) for storm-scale runs; percentile queries are then invalid.
@@ -98,12 +105,12 @@ struct ExperimentConfig {
   /// fully off — the run does not even schedule sampling ticks.
   SimTime telemetry_window;
   /// Retain hop-event timelines (slowest + failed spans) for Perfetto
-  /// export; in sharded runs also log per-window shard activity.
+  /// export on one shard; log per-window shard activity on several.
   bool record_trace_events = false;
-  /// Sharded runs only: per-destination adaptive windows (DESIGN.md §16).
-  /// Benches default on — outcome determinism across thread counts is
-  /// unaffected and window count drops sharply; the scale bench emits an
-  /// explicit adaptive-off row for comparison.
+  /// Multi-shard runs only: per-destination adaptive windows (DESIGN.md
+  /// §16). Outcomes stay identical across thread counts and the window
+  /// count drops sharply; fig_mobility and fig_elastic keep the static
+  /// windows until same-nanosecond ties are ordered canonically.
   bool adaptive_lookahead = true;
 };
 
@@ -124,90 +131,48 @@ default_slo_targets() {
   };
 }
 
-/// Build a system, replay a trace, run to completion, return the metrics.
-/// `extra_setup(system, loop)` runs before the replay (failure injection);
-/// `post(system)` runs after the loop drains (outage queries etc.).
-template <typename SetupFn, typename PostFn>
-ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                const std::vector<trace::TraceRecord>& t,
-                                SetupFn&& extra_setup, PostFn&& post) {
-  sim::EventLoop loop;
-  core::Metrics metrics;
-  if (cfg.streaming_pct) metrics.use_streaming_pct();
-  core::System system(loop, cfg.policy, cfg.topo, cfg.proto,
-                      measured_costs(), metrics);
+/// A bench's hook into a run. One-shard benches reach their System as
+/// `sys.system(0)`.
+using RunHook = std::function<void(core::ShardedSystem&)>;
+
+/// The experiment driver every bench runs on: build the core on
+/// `cfg.shards` shards, pre-attach, run `setup` (failure injection,
+/// samplers), replay the trace, arm telemetry, run to the last arrival
+/// plus `cfg.drain`, run `post` (outage queries, pool scans), and return
+/// the merged metrics. `profiler` (optional) times the runtime's phases.
+inline ExperimentResult run_experiment(const ExperimentConfig& cfg,
+                                       const std::vector<trace::TraceRecord>& t,
+                                       const RunHook& setup = {},
+                                       const RunHook& post = {},
+                                       obs::PhaseProfiler* profiler = nullptr) {
   std::unique_ptr<obs::ProcTracer> tracer;
-  if (cfg.trace_decomposition || cfg.record_trace_events) {
-    obs::TracerConfig tc;
-    tc.record_events = cfg.record_trace_events;
-    tc.keep_slowest = cfg.record_trace_events ? 16 : 8;
-    tc.keep_failed = cfg.record_trace_events ? 16 : 0;
-    tracer = std::make_unique<obs::ProcTracer>(
-        tc, cfg.trace_decomposition ? &metrics.registry : nullptr);
-    system.attach_tracer(*tracer);
-  }
-  const auto regions =
-      static_cast<std::uint32_t>(cfg.topo.total_regions());
-  for (std::uint64_t ue = 0; ue < cfg.preattached_ues; ++ue) {
-    system.frontend().preattach(UeId(ue),
-                                static_cast<std::uint32_t>(ue % regions));
-  }
-  extra_setup(system, loop);
-  trace::replay(system, t);
-  SimTime horizon = cfg.drain;
-  if (!t.empty()) horizon += t.back().at;
-  if (cfg.telemetry_window.ns() > 0) {
-    system.arm_telemetry(cfg.telemetry_window, horizon);
-    metrics.arm_slo(cfg.telemetry_window, default_slo_targets());
-  }
-  obs::WallTimer wall;
-  loop.run_until(horizon);
-  const double wall_seconds = wall.seconds();
-  post(system);
-  ExperimentResult result{std::move(metrics), horizon.sec(), loop.executed(),
-                          wall_seconds};
-  result.tracer = std::move(tracer);
-  return result;
-}
-
-template <typename SetupFn>
-ExperimentResult run_experiment(const ExperimentConfig& cfg,
-                                const std::vector<trace::TraceRecord>& t,
-                                SetupFn&& extra_setup) {
-  return run_experiment(cfg, t, std::forward<SetupFn>(extra_setup),
-                        [](core::System&) {});
-}
-
-inline ExperimentResult run_experiment(
-    const ExperimentConfig& cfg, const std::vector<trace::TraceRecord>& t) {
-  return run_experiment(cfg, t, [](core::System&, sim::EventLoop&) {},
-                        [](core::System&) {});
-}
-
-/// Sharded-runtime counterpart of run_experiment: the topology is
-/// partitioned across `shards` conservatively-synchronized event loops
-/// executed by `threads` workers (DESIGN.md §11). Results are
-/// deterministic for a fixed shard count regardless of thread count; the
-/// merged metrics are comparable with a legacy run of the same topology.
-inline ExperimentResult run_sharded_experiment(
-    const ExperimentConfig& cfg, const std::vector<trace::TraceRecord>& t,
-    std::uint32_t shards, std::uint32_t threads,
-    obs::PhaseProfiler* profiler = nullptr) {
   core::ShardedSystem::Config scfg;
   scfg.policy = cfg.policy;
   scfg.topo = cfg.topo;
   scfg.proto = cfg.proto;
-  scfg.shards = shards;
-  scfg.threads = threads;
+  scfg.shards = cfg.shards;
+  scfg.threads = cfg.threads;
   scfg.adaptive_lookahead = cfg.adaptive_lookahead;
   scfg.streaming_pct = cfg.streaming_pct;
   core::ShardedSystem sys(scfg, measured_costs());
   sys.set_profiler(profiler);
-  if (cfg.record_trace_events) sys.enable_window_log();
+  if (cfg.shards > 1) {
+    if (cfg.record_trace_events) sys.enable_window_log();
+  } else if (cfg.trace_decomposition || cfg.record_trace_events) {
+    obs::TracerConfig tc;
+    tc.record_events = cfg.record_trace_events;
+    tc.keep_slowest = cfg.record_trace_events ? 16 : 8;
+    tc.keep_failed = cfg.record_trace_events ? 16 : 0;
+    // Shard 0's registry: the decomposition merges into the result.
+    tracer = std::make_unique<obs::ProcTracer>(
+        tc, cfg.trace_decomposition ? &sys.metrics(0).registry : nullptr);
+    sys.attach_tracer(0, *tracer);
+  }
   const auto regions = static_cast<std::uint32_t>(cfg.topo.total_regions());
   for (std::uint64_t ue = 0; ue < cfg.preattached_ues; ++ue) {
     sys.preattach(UeId(ue), static_cast<std::uint32_t>(ue % regions));
   }
+  if (setup) setup(sys);
   sys.replay(t);
   SimTime horizon = cfg.drain;
   if (!t.empty()) horizon += t.back().at;
@@ -218,19 +183,25 @@ inline ExperimentResult run_sharded_experiment(
   obs::WallTimer wall;
   sys.run_until(horizon);
   const double wall_seconds = wall.seconds();
-  ExperimentResult result{sys.merged_metrics(), horizon.sec(),
-                          sys.events_executed(), wall_seconds, shards,
-                          threads};
-  result.windows = sys.stats().windows;
-  result.cross_shard_messages = sys.stats().cross_messages;
-  result.adaptive_extensions = sys.stats().adaptive_extensions;
-  result.dispatches_skipped = sys.stats().dispatches_skipped;
-  result.shard_events = sys.shard_events();
-  if (cfg.record_trace_events) {
-    for (const auto& w : sys.window_log()) {
-      result.window_log.push_back(
-          obs::ShardWindowRecord{w.start, w.end, w.cross_messages, w.executed});
-    }
+  if (post) post(sys);
+  ExperimentResult result{
+      .metrics = sys.merged_metrics(),
+      .sim_seconds = horizon.sec(),
+      .events_executed = sys.events_executed(),
+      .wall_seconds = wall_seconds,
+      .shards = cfg.shards,
+      .threads = cfg.threads,
+      .windows = sys.stats().windows,
+      .cross_shard_messages = sys.stats().cross_messages,
+      .adaptive_extensions = sys.stats().adaptive_extensions,
+      .dispatches_skipped = sys.stats().dispatches_skipped,
+      .shard_events = sys.shard_events(),
+      .tracer = std::move(tracer),
+      .window_log = {},
+  };
+  for (const auto& w : sys.window_log()) {
+    result.window_log.push_back(
+        obs::ShardWindowRecord{w.start, w.end, w.cross_messages, w.executed});
   }
   return result;
 }
@@ -318,9 +289,6 @@ struct BenchOptions {
   /// --trace-out=PATH: write a Chrome/Perfetto trace-event JSON of the
   /// run (procedure hop spans + shard window tracks) to PATH.
   std::string trace_out;
-  /// --adaptive-lookahead=0|1: per-destination adaptive windows for the
-  /// sharded rows (default on; see ExperimentConfig::adaptive_lookahead).
-  bool adaptive_lookahead = true;
   /// --scenario=NAME: drive the bench with a named traffic-engine
   /// scenario (src/traffic/scenario.hpp) instead of its built-in
   /// workload. Empty (default) keeps the built-in workload byte-for-byte.
@@ -369,10 +337,6 @@ struct BenchOptions {
             std::strtod(std::string{arg.substr(22)}.c_str(), nullptr);
       } else if (arg.rfind("--trace-out=", 0) == 0) {
         o.trace_out = arg.substr(12);
-      } else if (arg.rfind("--adaptive-lookahead=", 0) == 0) {
-        o.adaptive_lookahead =
-            std::strtoul(std::string{arg.substr(21)}.c_str(), nullptr, 10) !=
-            0;
       } else if (arg.rfind("--scenario=", 0) == 0) {
         o.scenario = arg.substr(11);
       } else if (arg.rfind("--ues=", 0) == 0) {
@@ -530,7 +494,7 @@ class Report {
     obs::Json& row = doc_["rows"].push_back(obs::Json{});
     row["system"] = system_name;
     // Schema v2: every row declares its execution mode. attach_result
-    // overwrites this for sharded-runtime results.
+    // overwrites this for multi-shard results.
     row["mode"] = "single-thread";
     return row;
   }
@@ -539,7 +503,7 @@ class Report {
   static void attach_result(obs::Json& row, const ExperimentResult& result) {
     const obs::Registry& reg = result.metrics.registry;
     row["sim_seconds"] = result.sim_seconds;
-    const bool sharded = !result.shard_events.empty();
+    const bool sharded = result.shards > 1;
     row["mode"] = sharded ? "sharded" : "single-thread";
     if (sharded) {
       row["shards"] = result.shards;

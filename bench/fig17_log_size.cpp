@@ -45,19 +45,20 @@ LogSizeRun peak_log_bytes(const core::CorePolicy& policy,
   std::size_t peak = 0;
   auto result = bench::run_experiment(
       cfg, t,
-      [&](core::System& system, sim::EventLoop& loop) {
+      [&](core::ShardedSystem& sys) {
         // Sample log footprint + pool occupancy every 5 ms; the registry
         // keeps the cta.log_bytes series the report exports.
+        core::System& system = sys.system(0);
         obs::PeriodicSampler::schedule(
-            loop, SimTime::milliseconds(5), SimTime::seconds(20),
+            system.loop(), SimTime::milliseconds(5), SimTime::seconds(20),
             [&system] {
               system.sample_log_sizes();
               system.sample_occupancy();
             });
       },
-      [&](core::System& system) {
-        system.sample_log_sizes();
-        peak = system.metrics().cta_log_peak_bytes;
+      [&](core::ShardedSystem& sys) {
+        sys.system(0).sample_log_sizes();
+        peak = sys.metrics(0).cta_log_peak_bytes;
       });
   return {peak, std::move(result)};
 }

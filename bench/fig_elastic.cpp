@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/throughput.hpp"
 
 using namespace neutrino;
 
@@ -78,32 +77,14 @@ SimTime envelope_crossing(const traffic::DiurnalEnvelope& env,
 
 struct RunOut {
   bench::ExperimentResult result;
-  LatencyRecorder handoff_pct;
   std::uint64_t ring_epoch = 0;
-  double completion = 1.0;
   /// Lost-region UEs whose frontend context ended the run homed
   /// elsewhere (the crash path's re-homing evidence: uplinks into a dead
   /// CTA re-attach through the sibling region without a counter).
   std::uint64_t rehomed_ues = 0;
 };
 
-/// One sharded replay with the churn plan armed.
-RunOut run_scenario(const core::TopologyConfig& topo,
-                    const std::vector<trace::TraceRecord>& records,
-                    std::uint64_t population, std::uint32_t shards,
-                    std::uint32_t threads, const ElasticPlan& plan,
-                    SimTime telemetry_window) {
-  core::ShardedSystem::Config cfg;
-  cfg.policy = core::neutrino_policy();
-  cfg.topo = topo;
-  cfg.shards = shards;
-  cfg.threads = threads;
-  core::ShardedSystem sys(cfg, bench::measured_costs());
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint64_t ue = 0; ue < population; ++ue) {
-    sys.preattach(UeId(ue), static_cast<std::uint32_t>(ue % regions));
-  }
-  sys.replay(records);
+void arm_plan(core::ShardedSystem& sys, const ElasticPlan& plan) {
   for (const auto& [at, cpf] : plan.drains) sys.schedule_drain(at, cpf);
   for (const auto& [at, cpf] : plan.scale_outs) {
     sys.schedule_scale_out(at, cpf);
@@ -113,39 +94,27 @@ RunOut run_scenario(const core::TopologyConfig& topo,
     sys.schedule_cta_crash(plan.cta_crash_at,
                            static_cast<std::uint32_t>(plan.cta_crash_region));
   }
-  SimTime horizon = SimTime::seconds(10);
-  if (!records.empty()) horizon += records.back().at;
-  if (telemetry_window.ns() > 0) {
-    sys.arm_telemetry(telemetry_window, horizon);
-    sys.arm_slo(telemetry_window, bench::default_slo_targets());
+}
+
+std::uint64_t count_rehomed(core::ShardedSystem& sys, const ElasticPlan& plan,
+                            std::uint64_t population) {
+  if (plan.cta_crash_region < 0) return 0;
+  const auto lost = static_cast<std::uint32_t>(plan.cta_crash_region);
+  core::System& home = sys.system(sys.shard_of_region(lost));
+  const auto regions =
+      static_cast<std::uint32_t>(home.topo().total_regions());
+  std::uint64_t rehomed = 0;
+  for (std::uint64_t ue = lost; ue < population; ue += regions) {
+    if (home.frontend().region_of(UeId(ue)) != lost) ++rehomed;
   }
-  obs::WallTimer wall;
-  sys.run_until(horizon);
-  const double wall_seconds = wall.seconds();
-  RunOut out{bench::ExperimentResult{sys.merged_metrics(), horizon.sec(),
-                                     sys.events_executed(), wall_seconds,
-                                     shards, threads},
-             LatencyRecorder{}, sys.system(0).ring_epoch(), 1.0, 0};
-  if (plan.cta_crash_region >= 0) {
-    const auto lost = static_cast<std::uint32_t>(plan.cta_crash_region);
-    core::System& home = sys.system(sys.shard_of_region(lost));
-    for (std::uint64_t ue = lost; ue < population; ue += regions) {
-      if (home.frontend().region_of(UeId(ue)) != lost) ++out.rehomed_ues;
-    }
-  }
-  out.result.windows = sys.stats().windows;
-  out.result.cross_shard_messages = sys.stats().cross_messages;
-  out.result.adaptive_extensions = sys.stats().adaptive_extensions;
-  out.result.dispatches_skipped = sys.stats().dispatches_skipped;
-  out.result.shard_events = sys.shard_events();
-  out.handoff_pct.merge(out.result.metrics.handoff_pct);
-  const auto& m = out.result.metrics;
-  out.completion =
-      m.procedures_started == 0u
-          ? 1.0
-          : static_cast<double>(m.procedures_completed.value()) /
-                static_cast<double>(m.procedures_started.value());
-  return out;
+  return rehomed;
+}
+
+double completion(const core::Metrics& m) {
+  return m.procedures_started == 0u
+             ? 1.0
+             : static_cast<double>(m.procedures_completed.value()) /
+                   static_cast<double>(m.procedures_started.value());
 }
 
 /// Everything a deterministic run computes, flattened for cross-thread
@@ -161,7 +130,7 @@ std::map<std::string, std::uint64_t> fingerprint(const RunOut& run) {
       [&](const std::string& key, const obs::Counter& c) {
         fp["counter." + key] = c.value();
       });
-  const auto s = run.handoff_pct.summary();
+  const auto s = run.result.metrics.handoff_pct.summary();
   fp["ho.n"] = s.count;
   // Bit patterns, not values: the determinism claim is exact.
   auto bits = [](double v) {
@@ -183,15 +152,15 @@ void fill_row(obs::Json& row, const char* scenario, std::uint32_t threads,
   row["x"] = threads;
   row["scenario"] = scenario;
   bench::attach_arrivals(row, gen, duration);
-  row["completion_rate"] = run.completion;
+  row["completion_rate"] = completion(run.result.metrics);
   row["ring_epoch"] = run.ring_epoch;
   row["migrated_ues"] = run.result.metrics.handoff_ues.value();
-  obs::Json pct = obs::summary_json(run.handoff_pct);
+  const LatencyRecorder& ho = run.result.metrics.handoff_pct;
+  obs::Json pct = obs::summary_json(ho);
   // "n" alongside summary_json's "count": opts the summary into the
   // validator's monotone-percentile check (and the summarizer reads it).
-  pct["n"] = run.handoff_pct.count();
-  pct["p95"] =
-      run.handoff_pct.empty() ? 0.0 : run.handoff_pct.percentile(0.95);
+  pct["n"] = ho.count();
+  pct["p95"] = ho.empty() ? 0.0 : ho.percentile(0.95);
   row["handoff_ms"] = std::move(pct);
   row["wall_seconds"] = run.result.wall_seconds;
   row["events_executed"] = run.result.events_executed;
@@ -362,21 +331,39 @@ int main(int argc, char** argv) {
       {"region-loss", &flat, &loss, {0, 0, false, lost_population / 4}},
   };
 
+  bench::ExperimentConfig cfg;
+  cfg.policy = core::neutrino_policy();
+  cfg.topo = topo;
+  cfg.shards = shards;
+  cfg.preattached_ues = population;
+  cfg.drain = SimTime::seconds(10);
+  cfg.telemetry_window = opts.telemetry_window();
+  cfg.adaptive_lookahead = false;  // static windows (DESIGN.md §16)
   bool ok = true;
   for (const Scenario& sc : scenarios) {
     std::map<std::string, std::uint64_t> reference;
     std::uint32_t reference_threads = 0;
     for (const std::uint32_t t : threads) {
-      RunOut run = run_scenario(topo, sc.gen->records, population, shards,
-                                t, *sc.plan, opts.telemetry_window());
+      cfg.threads = t;
+      std::uint64_t ring_epoch = 0;
+      std::uint64_t rehomed = 0;
+      bench::ExperimentResult result = bench::run_experiment(
+          cfg, sc.gen->records,
+          [&](core::ShardedSystem& sys) { arm_plan(sys, *sc.plan); },
+          [&](core::ShardedSystem& sys) {
+            ring_epoch = sys.system(0).ring_epoch();
+            rehomed = count_rehomed(sys, *sc.plan, population);
+          });
+      const RunOut run{std::move(result), ring_epoch, rehomed};
       const auto& m = run.result.metrics;
-      const LatencyRecorder& ho = run.handoff_pct;
+      const LatencyRecorder& ho = m.handoff_pct;
+      const double completed = completion(m);
       std::printf(
           "fig_elastic\t%s\t%u\tcompletion=%.4f\tdrains=%" PRIu64
           "\tscale_outs=%" PRIu64 "\tmigrated=%" PRIu64 "\tho_p50=%.3f\t"
           "ho_p99=%.3f\tepoch=%" PRIu64 "\trehomed=%" PRIu64
           "\tryw=%" PRIu64 "\n",
-          sc.name, t, run.completion, m.drains.value(),
+          sc.name, t, completed, m.drains.value(),
           m.scale_outs.value(), m.handoff_ues.value(),
           ho.empty() ? 0.0 : ho.percentile(0.50),
           ho.empty() ? 0.0 : ho.percentile(0.99), run.ring_epoch,
@@ -392,11 +379,11 @@ int main(int argc, char** argv) {
                      m.ryw_violations.value(), sc.name, t);
         ok = false;
       }
-      if (run.completion < kMinCompletion) {
+      if (completed < kMinCompletion) {
         std::fprintf(stderr,
                      "fig_elastic: FAILED: completion %.4f < %.2f in %s "
                      "at threads=%u\n",
-                     run.completion, kMinCompletion, sc.name, t);
+                     completed, kMinCompletion, sc.name, t);
         ok = false;
       }
       if (m.drains.value() != sc.gates.drains ||

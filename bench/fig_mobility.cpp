@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "obs/throughput.hpp"
 
 using namespace neutrino;
 
@@ -43,77 +42,23 @@ namespace {
 /// CPFs (for UE 0) of two regions per shard half go down as departures
 /// peak and come back empty mid-wave, so post-restore crossings into
 /// them deterministically take the slow StateFetch path.
-struct ChaosPlan {
-  std::vector<std::pair<std::uint32_t, CpfId>> doomed;  // (region, cpf)
-  SimTime crash_at;
-  SimTime restore_at;
-};
-
-ChaosPlan plan_chaos(core::ShardedSystem& sys, std::uint32_t regions,
-                     SimTime duration) {
-  ChaosPlan plan;
-  plan.crash_at = SimTime::nanoseconds(duration.ns() / 5);          // 0.20
-  plan.restore_at = SimTime::nanoseconds(duration.ns() * 7 / 20);   // 0.35
+void arm_chaos(core::ShardedSystem& sys, std::uint32_t regions,
+               SimTime duration) {
+  const SimTime crash_at = SimTime::nanoseconds(duration.ns() / 5);  // 0.20
+  const SimTime restore_at =
+      SimTime::nanoseconds(duration.ns() * 7 / 20);  // 0.35
   for (const std::uint32_t region :
        {0u, 1u, regions / 2, regions / 2 + 1}) {
     core::System& owner = sys.system(sys.shard_of_region(region));
-    plan.doomed.emplace_back(region,
-                             owner.primary_cpf_for(UeId{0}, region));
+    const CpfId cpf = owner.primary_cpf_for(UeId{0}, region);
+    sys.schedule_crash(crash_at, cpf);
+    sys.schedule_restore(restore_at, cpf);
   }
-  return plan;
 }
 
-struct RunOut {
-  bench::ExperimentResult result;
-  LatencyRecorder handover_pct;
-};
-
-/// One sharded replay of a generated scenario with the chaos plan armed.
-RunOut run_replay(const core::TopologyConfig& topo,
-                  const std::vector<trace::TraceRecord>& records,
-                  std::uint64_t population, std::uint32_t shards,
-                  std::uint32_t threads, SimTime duration, bool with_chaos,
-                  SimTime telemetry_window) {
-  core::ShardedSystem::Config cfg;
-  cfg.policy = core::neutrino_policy();
-  cfg.topo = topo;
-  cfg.shards = shards;
-  cfg.threads = threads;
-  core::ShardedSystem sys(cfg, bench::measured_costs());
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint64_t ue = 0; ue < population; ++ue) {
-    sys.preattach(UeId(ue), static_cast<std::uint32_t>(ue % regions));
-  }
-  sys.replay(records);
-  if (with_chaos) {
-    const ChaosPlan plan = plan_chaos(sys, regions, duration);
-    for (const auto& [region, cpf] : plan.doomed) {
-      (void)region;
-      sys.schedule_crash(plan.crash_at, cpf);
-      sys.schedule_restore(plan.restore_at, cpf);
-    }
-  }
-  SimTime horizon = SimTime::seconds(10);
-  if (!records.empty()) horizon += records.back().at;
-  if (telemetry_window.ns() > 0) {
-    sys.arm_telemetry(telemetry_window, horizon);
-    sys.arm_slo(telemetry_window, bench::default_slo_targets());
-  }
-  obs::WallTimer wall;
-  sys.run_until(horizon);
-  const double wall_seconds = wall.seconds();
-  RunOut out{bench::ExperimentResult{sys.merged_metrics(), horizon.sec(),
-                                     sys.events_executed(), wall_seconds,
-                                     shards, threads},
-             LatencyRecorder{}};
-  out.result.windows = sys.stats().windows;
-  out.result.cross_shard_messages = sys.stats().cross_messages;
-  out.result.adaptive_extensions = sys.stats().adaptive_extensions;
-  out.result.dispatches_skipped = sys.stats().dispatches_skipped;
-  out.result.shard_events = sys.shard_events();
-  out.handover_pct.merge(
-      out.result.metrics.pct_for(core::ProcedureType::kHandover));
-  return out;
+const LatencyRecorder& handover_pct(const bench::ExperimentResult& run) {
+  return run.metrics
+      .pct[static_cast<std::size_t>(core::ProcedureType::kHandover)];
 }
 
 obs::Json mobility_json(const traffic::MobilityStats& stats,
@@ -150,16 +95,17 @@ obs::Json mobility_json(const traffic::MobilityStats& stats,
 
 /// Everything a deterministic run computes, flattened for cross-thread
 /// comparison (wall clock and rates excluded by construction).
-std::map<std::string, std::uint64_t> fingerprint(const RunOut& run) {
+std::map<std::string, std::uint64_t> fingerprint(
+    const bench::ExperimentResult& run) {
   std::map<std::string, std::uint64_t> fp;
-  fp["events"] = run.result.events_executed;
-  fp["windows"] = run.result.windows;
-  fp["cross_messages"] = run.result.cross_shard_messages;
-  run.result.metrics.registry.for_each_counter(
+  fp["events"] = run.events_executed;
+  fp["windows"] = run.windows;
+  fp["cross_messages"] = run.cross_shard_messages;
+  run.metrics.registry.for_each_counter(
       [&](const std::string& key, const obs::Counter& c) {
         fp["counter." + key] = c.value();
       });
-  const auto s = run.handover_pct.summary();
+  const auto s = handover_pct(run).summary();
   fp["ho.n"] = s.count;
   // Bit patterns, not values: the determinism claim is exact.
   auto bits = [](double v) {
@@ -176,29 +122,25 @@ std::map<std::string, std::uint64_t> fingerprint(const RunOut& run) {
 }
 
 void fill_row(obs::Json& row, const char* scenario, std::uint32_t threads,
-              const RunOut& run, const traffic::GeneratedTraffic& gen,
-              SimTime duration) {
+              const bench::ExperimentResult& run,
+              const traffic::GeneratedTraffic& gen, SimTime duration) {
   row["x"] = threads;
   row["scenario"] = scenario;
   bench::attach_arrivals(row, gen, duration);
-  obs::Json pct = obs::summary_json(run.handover_pct);
+  const LatencyRecorder& ho = handover_pct(run);
+  obs::Json pct = obs::summary_json(ho);
   // "n" alongside summary_json's "count": opts the summary into the
   // validator's monotone-percentile check (and the summarizer reads it).
-  pct["n"] = run.handover_pct.count();
-  if (!run.handover_pct.empty()) {
-    pct["p95"] = run.handover_pct.percentile(0.95);
-  } else {
-    pct["p95"] = 0.0;
-  }
+  pct["n"] = ho.count();
+  pct["p95"] = ho.empty() ? 0.0 : ho.percentile(0.95);
   row["handover_pct_ms"] = std::move(pct);
   row["events_per_sec"] =
-      run.result.wall_seconds > 0
-          ? static_cast<double>(run.result.events_executed) /
-                run.result.wall_seconds
+      run.wall_seconds > 0
+          ? static_cast<double>(run.events_executed) / run.wall_seconds
           : 0.0;
-  row["wall_seconds"] = run.result.wall_seconds;
-  row["events_executed"] = run.result.events_executed;
-  bench::Report::attach_result(row, run.result);
+  row["wall_seconds"] = run.wall_seconds;
+  row["events_executed"] = run.events_executed;
+  bench::Report::attach_result(row, run);
 }
 
 }  // namespace
@@ -276,14 +218,24 @@ int main(int argc, char** argv) {
 
   // --- The thread sweep: commute wave + chaos collisions, bit-identical
   // outcomes regardless of worker count.
+  bench::ExperimentConfig cfg;
+  cfg.policy = core::neutrino_policy();
+  cfg.topo = topo;
+  cfg.shards = shards;
+  cfg.preattached_ues = population;
+  cfg.drain = SimTime::seconds(10);
+  cfg.telemetry_window = opts.telemetry_window();
+  cfg.adaptive_lookahead = false;  // static windows (DESIGN.md §16)
   std::map<std::string, std::uint64_t> reference;
   std::uint32_t reference_threads = 0;
   for (const std::uint32_t t : threads) {
-    RunOut run = run_replay(topo, gen->records, population, shards, t,
-                            duration, /*with_chaos=*/true,
-                            opts.telemetry_window());
-    const auto& m = run.result.metrics;
-    const LatencyRecorder& pct = run.handover_pct;
+    cfg.threads = t;
+    const bench::ExperimentResult run =
+        bench::run_experiment(cfg, gen->records, [&](core::ShardedSystem& sys) {
+          arm_chaos(sys, regions, duration);
+        });
+    const auto& m = run.metrics;
+    const LatencyRecorder& pct = handover_pct(run);
     std::printf(
         "fig_mobility\tcommuter-crossing\t%u\tn=%zu\tp50=%.3f\tp95=%.3f\t"
         "p99=%.3f\tfast=%" PRIu64 "\tfetch=%" PRIu64 "\treattach=%" PRIu64
@@ -348,11 +300,12 @@ int main(int argc, char** argv) {
     traffic::MobilityStats pstats;
     const auto pgen =
         traffic::generate_scenario("edge-pingpong", preq, &pstats);
-    RunOut run = run_replay(topo, pgen->records, preq.population, shards,
-                            threads.front(), preq.duration,
-                            /*with_chaos=*/false, opts.telemetry_window());
-    const auto& m = run.result.metrics;
-    const LatencyRecorder& pct = run.handover_pct;
+    cfg.threads = threads.front();
+    cfg.preattached_ues = preq.population;
+    const bench::ExperimentResult run =
+        bench::run_experiment(cfg, pgen->records);
+    const auto& m = run.metrics;
+    const LatencyRecorder& pct = handover_pct(run);
     std::printf("fig_mobility\tedge-pingpong\t%u\tn=%zu\tp50=%.3f\t"
                 "p99=%.3f\tpingpongs=%" PRIu64 "\tsuppressed=%" PRIu64
                 "\tryw=%" PRIu64 "\n",

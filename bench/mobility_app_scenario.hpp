@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 
 #include "apps/deadline_app.hpp"
 #include "bench_util.hpp"
@@ -12,7 +13,7 @@
 namespace neutrino::bench {
 
 inline void run_mobility_app_scenario(Report& report, const char* figure,
-                                      const char* scenario, SimTime deadline,
+                                      const char* pattern, SimTime deadline,
                                       std::span<const std::uint64_t> counts,
                                       int handovers) {
   const SimTime window =
@@ -49,14 +50,19 @@ inline void run_mobility_app_scenario(Report& report, const char* figure,
       app.deadline = deadline;
       app.radio_gap = SimTime::milliseconds(25);  // LTE retune interruption
       std::uint64_t missed = 0;
+      // Driver: issue the next handover as soon as the previous one
+      // finished, up to the scenario's count, polling for completion every
+      // 20 ms. Both steps live here, outside the event loop, so the
+      // scheduled callbacks refer to them instead of owning each other.
+      std::function<void(int)> drive;
+      std::function<void(int)> poll;
       const auto result = run_experiment(
           cfg, t,
-          [&](core::System& system, sim::EventLoop& loop) {
-            // Driver: issue the next handover as soon as the previous one
-            // finished, up to the scenario's count.
-            auto driver = std::make_shared<std::function<void(int)>>();
-            *driver = [&system, &loop, observed, handovers, driver,
-                       regions = cfg.topo.total_regions()](int issued) {
+          [&](core::ShardedSystem& sys) {
+            core::System& system = sys.system(0);
+            sim::EventLoop& loop = system.loop();
+            drive = [&system, &loop, &poll, observed, handovers,
+                     regions = cfg.topo.total_regions()](int issued) {
               if (issued >= handovers) return;
               system.frontend().start_procedure(
                   observed,
@@ -65,33 +71,32 @@ inline void run_mobility_app_scenario(Report& report, const char* figure,
                   static_cast<std::uint32_t>((issued + 1) %
                                              static_cast<std::uint32_t>(
                                                  regions)));
-              // Poll for completion, then schedule the next crossing.
-              auto poll = std::make_shared<std::function<void()>>();
-              *poll = [&system, &loop, observed, issued, driver, poll] {
-                if (system.frontend().outages(observed).size() >
-                    static_cast<std::size_t>(issued)) {
-                  loop.schedule_after(SimTime::milliseconds(50),
-                                      [driver, issued] {
-                                        (*driver)(issued + 1);
-                                      });
-                } else {
-                  loop.schedule_after(SimTime::milliseconds(20), *poll);
-                }
-              };
-              loop.schedule_after(SimTime::milliseconds(20), *poll);
+              loop.schedule_after(SimTime::milliseconds(20),
+                                  [&poll, issued] { poll(issued); });
+            };
+            poll = [&system, &loop, &drive, &poll, observed](int issued) {
+              if (system.frontend().outages(observed).size() >
+                  static_cast<std::size_t>(issued)) {
+                loop.schedule_after(SimTime::milliseconds(50),
+                                    [&drive, issued] { drive(issued + 1); });
+              } else {
+                loop.schedule_after(SimTime::milliseconds(20),
+                                    [&poll, issued] { poll(issued); });
+              }
             };
             loop.schedule_at(SimTime::milliseconds(200),
-                             [driver] { (*driver)(0); });
+                             [&drive] { drive(0); });
           },
-          [&](core::System& system) {
-            missed = app.missed_deadlines(system.frontend().outages(observed));
+          [&](core::ShardedSystem& sys) {
+            missed = app.missed_deadlines(
+                sys.system(0).frontend().outages(observed));
           });
-      std::printf("%s\t%s\t%s\t%llu\tmissed=%llu\n", figure, scenario,
+      std::printf("%s\t%s\t%s\t%llu\tmissed=%llu\n", figure, pattern,
                   std::string(policy.name).c_str(),
                   static_cast<unsigned long long>(users),
                   static_cast<unsigned long long>(missed));
       obs::Json& row = report.new_row(policy.name);
-      row["scenario"] = scenario;
+      row["handover_pattern"] = pattern;
       row["x"] = users;
       row["handovers"] = handovers;
       row["deadline_ms"] = deadline.ms();

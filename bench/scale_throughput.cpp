@@ -102,20 +102,31 @@ int main(int argc, char** argv) {
   report.config()["rss_baseline_bytes"] = rss_meter.baseline_bytes();
   report.config()["telemetry"] = opts.telemetry;
 
+  // One row per run: a TSV line, a JSON row, and a gate on full
+  // completion with zero RYW violations. `arrivals` is the scenario
+  // traffic the run replays (null for the built-in storm); the sharded
+  // baseline row is the denominator of the shard-sync ratio and carries
+  // neither PCT summaries nor scenario arrivals. Returns the wall time.
   bool ok = true;
-  for (const auto& policy :
-       {core::existing_epc_policy(), core::neutrino_policy()}) {
-    bench::ExperimentConfig cfg;
-    cfg.policy = policy;
-    cfg.topo = core::TopologyConfig{};  // the paper's 1-region testbed
-    cfg.proto = core::ProtocolConfig{};
-    cfg.streaming_pct = true;  // constant-memory PCT at storm scale
-    cfg.telemetry_window = opts.telemetry_window();
-    if (scen != nullptr && scen->preattach) cfg.preattached_ues = n_ues;
+  const auto emit_row = [&](const bench::ExperimentConfig& cfg,
+                            const std::vector<trace::TraceRecord>& trace,
+                            const traffic::GeneratedTraffic* arrivals,
+                            bool baseline) {
+    const bool sharded = cfg.shards > 1;
+    // Wall-clock phase attribution (schedule / dispatch / barrier-wait /
+    // channel-drain / codec) of a sharded row. Lives only in the row's
+    // "profiler" section — never in determinism-compared output.
+    obs::PhaseProfiler profiler(std::max(cfg.shards, cfg.threads));
     rss_meter.begin_run();
-    auto result = bench::run_experiment(cfg, t);  // pct_for is non-const
+    auto result = bench::run_experiment(cfg, trace, {}, {},
+                                        sharded ? &profiler : nullptr);
     const std::size_t rss_delta = rss_meter.run_delta_bytes();
-
+    if (cfg.record_trace_events) {
+      bench::write_trace_file(
+          opts.trace_out,
+          obs::perfetto_trace(result.tracer.get(), result.window_log),
+          &profiler);
+    }
     const std::uint64_t started = result.metrics.procedures_started;
     const std::uint64_t completed = result.metrics.procedures_completed;
     const std::uint64_t ryw = result.metrics.ryw_violations;
@@ -128,41 +139,70 @@ int main(int argc, char** argv) {
             ? static_cast<double>(completed) / result.wall_seconds
             : 0.0;
     const std::size_t rss = obs::peak_rss_bytes();
-
-    std::printf("scale\t%s\tues=%" PRIu64 "\tevents=%" PRIu64
+    char tag[96] = "single-thread";
+    if (baseline) {
+      std::snprintf(tag, sizeof tag, "sharded-topo-baseline");
+    } else if (sharded) {
+      std::snprintf(tag, sizeof tag,
+                    "shards=%u\tthreads=%u\twindows=%" PRIu64
+                    "\tcross=%" PRIu64,
+                    cfg.shards, cfg.threads, result.windows,
+                    result.cross_shard_messages);
+    }
+    const std::string name(cfg.policy.name);
+    std::printf("scale\t%s\t%s\tues=%" PRIu64 "\tevents=%" PRIu64
                 "\twall_s=%.3f\tevents_per_sec=%.0f\tprocs_per_sec=%.0f"
                 "\tpeak_rss_mb=%.1f\tcompleted=%" PRIu64 "/%" PRIu64
                 "\tryw=%" PRIu64 "\n",
-                std::string(policy.name).c_str(), n_ues,
-                result.events_executed, result.wall_seconds, events_per_sec,
-                procs_per_sec, static_cast<double>(rss) / (1024.0 * 1024.0),
-                completed, started, ryw);
+                name.c_str(), tag, n_ues, result.events_executed,
+                result.wall_seconds, events_per_sec, procs_per_sec,
+                static_cast<double>(rss) / (1024.0 * 1024.0), completed,
+                started, ryw);
 
-    obs::Json& row = report.new_row(policy.name);
+    obs::Json& row = report.new_row(name);
     row["ues"] = n_ues;
+    if (baseline) row["sharded_baseline"] = true;
     row["events_executed"] = result.events_executed;
     row["wall_seconds"] = result.wall_seconds;
     row["events_per_sec"] = events_per_sec;
     row["procedures_per_sec"] = procs_per_sec;
     row["peak_rss_bytes"] = rss;
     row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-    row["attach_ms"] = streaming_summary(result.metrics.pct_for(
-        core::ProcedureType::kAttach));
-    row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
-        core::ProcedureType::kServiceRequest));
-    if (scen != nullptr) {
+    if (!baseline) {
+      row["attach_ms"] = streaming_summary(result.metrics.pct_for(
+          core::ProcedureType::kAttach));
+      row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
+          core::ProcedureType::kServiceRequest));
+    }
+    if (sharded) row["adaptive_lookahead"] = cfg.adaptive_lookahead;
+    if (arrivals != nullptr) {
       row["scenario"] = opts.scenario;
-      bench::attach_arrivals(row, *scen_traffic, screq.duration);
+      bench::attach_arrivals(row, *arrivals, screq.duration);
     }
     bench::Report::attach_result(row, result);
+    if (sharded) bench::Report::attach_profiler(row, profiler);
 
     if (completed != started || ryw != 0) {
       std::fprintf(stderr,
-                   "scale_throughput: FAILED for %s: completed %" PRIu64
+                   "scale_throughput: FAILED for %s (%s): completed %" PRIu64
                    " of %" PRIu64 " procedures, ryw_violations=%" PRIu64 "\n",
-                   std::string(policy.name).c_str(), completed, started, ryw);
+                   name.c_str(), tag, completed, started, ryw);
       ok = false;
     }
+    return result.wall_seconds;
+  };
+
+  for (const auto& policy :
+       {core::existing_epc_policy(), core::neutrino_policy()}) {
+    bench::ExperimentConfig cfg;
+    cfg.policy = policy;
+    cfg.topo = core::TopologyConfig{};  // the paper's 1-region testbed
+    cfg.proto = core::ProtocolConfig{};
+    cfg.streaming_pct = true;  // constant-memory PCT at storm scale
+    cfg.telemetry_window = opts.telemetry_window();
+    if (scen != nullptr && scen->preattach) cfg.preattached_ues = n_ues;
+    emit_row(cfg, t, scen_traffic ? &*scen_traffic : nullptr,
+             /*baseline=*/false);
   }
 
   // Sharded-runtime rows (--threads=1,2,..., optional --shards=N): the
@@ -179,7 +219,6 @@ int main(int argc, char** argv) {
     cfg.proto = core::ProtocolConfig{};
     cfg.streaming_pct = true;
     cfg.telemetry_window = opts.telemetry_window();
-    cfg.adaptive_lookahead = opts.adaptive_lookahead;
     // Scenario mode regenerates the trace for the partitioned topology
     // (UE homes are ue % regions, so the shard count changes the homing);
     // the generator itself is single-threaded and deterministic, so every
@@ -194,163 +233,29 @@ int main(int argc, char** argv) {
         sharded_traffic ? sharded_traffic->records : t;
     report.config()["shards"] = shards;
     report.config()["sharded_regions"] = cfg.topo.total_regions();
-    report.config()["adaptive_lookahead"] = opts.adaptive_lookahead;
+    report.config()["adaptive_lookahead"] = cfg.adaptive_lookahead;
 
-    // Legacy single-threaded System over the *same partitioned topology*:
-    // the honest denominator for shard-sync overhead. Comparing sharded
-    // rows against the 1-region row above would conflate the topology
-    // change (more regions, remote backups) with the runtime's window/
-    // barrier/channel machinery; this row isolates the latter. check.sh's
-    // perf gate reads it via "sharded_baseline": true.
-    double baseline_wall = 0.0;
-    {
-      rss_meter.begin_run();
-      auto result = bench::run_experiment(cfg, ts);
-      const std::size_t rss_delta = rss_meter.run_delta_bytes();
-      baseline_wall = result.wall_seconds;
-      const double events_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(result.events_executed) /
-                    result.wall_seconds
-              : 0.0;
-      std::printf("scale\t%s\tsharded-topo-baseline\tues=%" PRIu64
-                  "\tevents=%" PRIu64 "\twall_s=%.3f\tevents_per_sec=%.0f\n",
-                  std::string(cfg.policy.name).c_str(), n_ues,
-                  result.events_executed, result.wall_seconds,
-                  events_per_sec);
-      obs::Json& row = report.new_row(cfg.policy.name);
-      row["ues"] = n_ues;
-      row["sharded_baseline"] = true;
-      row["events_executed"] = result.events_executed;
-      row["wall_seconds"] = result.wall_seconds;
-      row["events_per_sec"] = events_per_sec;
-      row["peak_rss_bytes"] = obs::peak_rss_bytes();
-      row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      bench::Report::attach_result(row, result);
-      if (result.metrics.procedures_completed !=
-              result.metrics.procedures_started ||
-          result.metrics.ryw_violations != 0) {
-        std::fprintf(stderr, "scale_throughput: FAILED sharded-topo "
-                             "baseline\n");
-        ok = false;
-      }
-    }
+    // One shard over the *same partitioned topology*: the honest
+    // denominator for shard-sync overhead. Comparing sharded rows against
+    // the 1-region rows above would conflate the topology change (more
+    // regions, remote backups) with the runtime's window/barrier/channel
+    // machinery; this row isolates the latter. check.sh's perf gate reads
+    // it via "sharded_baseline": true.
+    const double baseline_wall =
+        emit_row(cfg, ts, nullptr, /*baseline=*/true);
 
+    cfg.shards = shards;
     double threads1_wall = 0.0;
     for (std::size_t ti = 0; ti < opts.threads.size(); ++ti) {
-      const std::uint32_t threads = opts.threads[ti];
+      cfg.threads = opts.threads[ti];
       // --trace-out: the last (widest) sharded row logs its conservative
       // windows and exports them as Perfetto shard tracks.
       cfg.record_trace_events =
           !opts.trace_out.empty() && ti + 1 == opts.threads.size();
-      // Wall-clock phase attribution for this row (schedule / dispatch /
-      // barrier-wait / channel-drain / codec). Lives only in the row's
-      // "profiler" section — never in determinism-compared output.
-      obs::PhaseProfiler profiler(std::max<std::size_t>(shards, threads));
-      rss_meter.begin_run();
-      auto result =
-          bench::run_sharded_experiment(cfg, ts, shards, threads, &profiler);
-      const std::size_t rss_delta = rss_meter.run_delta_bytes();
-      if (cfg.record_trace_events) {
-        bench::write_trace_file(
-            opts.trace_out,
-            obs::perfetto_trace(result.tracer.get(), result.window_log),
-            &profiler);
-      }
-      const std::uint64_t started = result.metrics.procedures_started;
-      const std::uint64_t completed = result.metrics.procedures_completed;
-      const std::uint64_t ryw = result.metrics.ryw_violations;
-      const double events_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(result.events_executed) /
-                    result.wall_seconds
-              : 0.0;
-      const double procs_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(completed) / result.wall_seconds
-              : 0.0;
-      const std::size_t rss = obs::peak_rss_bytes();
-
-      std::printf("scale\t%s\tshards=%u\tthreads=%u\tues=%" PRIu64
-                  "\tevents=%" PRIu64 "\twindows=%" PRIu64
-                  "\tcross=%" PRIu64
-                  "\twall_s=%.3f\tevents_per_sec=%.0f\tprocs_per_sec=%.0f"
-                  "\tpeak_rss_mb=%.1f\tcompleted=%" PRIu64 "/%" PRIu64
-                  "\tryw=%" PRIu64 "\n",
-                  std::string(cfg.policy.name).c_str(), shards, threads,
-                  n_ues, result.events_executed, result.windows,
-                  result.cross_shard_messages, result.wall_seconds,
-                  events_per_sec, procs_per_sec,
-                  static_cast<double>(rss) / (1024.0 * 1024.0), completed,
-                  started, ryw);
-
-      obs::Json& row = report.new_row(cfg.policy.name);
-      row["ues"] = n_ues;
-      row["events_executed"] = result.events_executed;
-      row["wall_seconds"] = result.wall_seconds;
-      row["events_per_sec"] = events_per_sec;
-      row["procedures_per_sec"] = procs_per_sec;
-      row["peak_rss_bytes"] = rss;
-      row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      row["attach_ms"] = streaming_summary(result.metrics.pct_for(
-          core::ProcedureType::kAttach));
-      row["service_request_ms"] = streaming_summary(result.metrics.pct_for(
-          core::ProcedureType::kServiceRequest));
-      row["adaptive_lookahead"] = opts.adaptive_lookahead;
-      if (scen != nullptr) {
-        row["scenario"] = opts.scenario;
-        bench::attach_arrivals(row, *sharded_traffic, screq.duration);
-      }
-      bench::Report::attach_result(row, result);
-      bench::Report::attach_profiler(row, profiler);
-      if (threads == 1) threads1_wall = result.wall_seconds;
-
-      if (completed != started || ryw != 0) {
-        std::fprintf(stderr,
-                     "scale_throughput: FAILED sharded (shards=%u threads=%u)"
-                     ": completed %" PRIu64 " of %" PRIu64
-                     " procedures, ryw_violations=%" PRIu64 "\n",
-                     shards, threads, completed, started, ryw);
-        ok = false;
-      }
-    }
-    // Window-policy A/B at threads=1: one extra row with the adaptive
-    // setting flipped, so BENCH_scale.json always carries both the
-    // adaptive-on and adaptive-off numbers for this shard count.
-    if (shards > 1) {
-      bench::ExperimentConfig flipped = cfg;
-      flipped.record_trace_events = false;
-      flipped.adaptive_lookahead = !opts.adaptive_lookahead;
-      rss_meter.begin_run();
-      auto result = bench::run_sharded_experiment(flipped, ts, shards, 1);
-      const std::size_t rss_delta = rss_meter.run_delta_bytes();
-      const double events_per_sec =
-          result.wall_seconds > 0
-              ? static_cast<double>(result.events_executed) /
-                    result.wall_seconds
-              : 0.0;
-      std::printf("scale\t%s\tshards=%u\tthreads=1\tadaptive=%d\tues=%" PRIu64
-                  "\tevents=%" PRIu64 "\twindows=%" PRIu64
-                  "\twall_s=%.3f\tevents_per_sec=%.0f\n",
-                  std::string(flipped.policy.name).c_str(), shards,
-                  flipped.adaptive_lookahead ? 1 : 0, n_ues,
-                  result.events_executed, result.windows, result.wall_seconds,
-                  events_per_sec);
-      obs::Json& row = report.new_row(flipped.policy.name);
-      row["ues"] = n_ues;
-      row["events_executed"] = result.events_executed;
-      row["wall_seconds"] = result.wall_seconds;
-      row["events_per_sec"] = events_per_sec;
-      row["peak_rss_bytes"] = obs::peak_rss_bytes();
-      row["peak_rss_delta_bytes"] = static_cast<std::uint64_t>(rss_delta);
-      row["adaptive_lookahead"] = flipped.adaptive_lookahead;
-      bench::Report::attach_result(row, result);
-      if (result.metrics.procedures_completed !=
-          result.metrics.procedures_started) {
-        std::fprintf(stderr,
-                     "scale_throughput: FAILED adaptive-flip row\n");
-        ok = false;
-      }
+      const double wall = emit_row(
+          cfg, ts, sharded_traffic ? &*sharded_traffic : nullptr,
+          /*baseline=*/false);
+      if (cfg.threads == 1) threads1_wall = wall;
     }
     // Shard-sync overhead at one worker thread: the windows/barriers/
     // channels cost with parallel execution factored out. ROADMAP open

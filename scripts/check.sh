@@ -31,13 +31,23 @@ cmake --build "$BUILD" -j "$JOBS"
 echo "== ctest"
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" "${EXCLUDE[@]}"
 
+# Every bench that runs through bench::run_experiment writes a smoke
+# report, and every report must validate: a schema slip (or a leak) in
+# any one bench fails here, not in a later reader. Each takes about a
+# minute under the sanitizers, so they run one per CPU.
 echo "== bench smoke + report validation"
+SMOKE_BENCHES=(fig03_pageload_video fig07_service_request_pct
+               fig08_attach_pct_uniform fig09_attach_pct_bursty
+               fig10_handover_failure fig11_fast_handover fig13_selfdriving
+               fig14_vr fig15_state_sync fig16_logging_overhead
+               fig17_log_size ablation_backups ablation_rule4_grace
+               ablation_detection fig_saturation)
+printf '%s\n' "${SMOKE_BENCHES[@]}" | xargs -P "$JOBS" -I{} sh -c \
+  '"$0/bench/$1" --smoke --report="$0/bench/$1.smoke-report.json" >/dev/null' \
+  "$BUILD" {}
 REPORTS=()
-for bench in fig07_service_request_pct fig08_attach_pct_uniform \
-             fig_saturation; do
-  out="$BUILD/bench/$bench.smoke-report.json"
-  "$BUILD/bench/$bench" --smoke --report="$out" >/dev/null
-  REPORTS+=("$out")
+for bench in "${SMOKE_BENCHES[@]}"; do
+  REPORTS+=("$BUILD/bench/$bench.smoke-report.json")
 done
 python3 scripts/validate_report.py "${REPORTS[@]}"
 

@@ -8,9 +8,11 @@
 // injections on every shard (ShardedSystem::schedule_crash). When a
 // transport method targets a region another shard owns, it computes the
 // link latency as usual and hands the message to the CrossShardSink as a
-// ShardEnvelope instead of scheduling locally; the runtime ferries it
-// through an SPSC channel and the owning shard's System re-schedules it
-// at the precomputed arrival time (System::deliver_envelope).
+// ShardEnvelope instead of scheduling locally; the runtime appends it to
+// the (source, destination) outbox, the destination's owner drains that
+// outbox at the start of its next window, and the owning shard's System
+// re-schedules it at the precomputed arrival time
+// (System::deliver_envelope).
 //
 // Messages cross by value (the Msg, including its shared_ptr snapshot
 // fields) — MsgPool handles never leave their shard. The shared_ptr
@@ -40,7 +42,7 @@ struct ShardEnvelope {
   Msg msg;
 };
 
-/// Implemented by ShardedSystem; posts into the runtime's SPSC channels.
+/// Implemented by ShardedSystem; posts into the runtime's per-pair outboxes.
 class CrossShardSink {
  public:
   virtual ~CrossShardSink() = default;
