@@ -206,6 +206,34 @@ inline ExperimentResult run_experiment(const ExperimentConfig& cfg,
   return result;
 }
 
+/// Busy time and peak queue depth summed over a system's CTA consumer
+/// pools and CPF request pools: what the saturation benches calibrate
+/// their knee from and report per row.
+struct PoolLoad {
+  double cta_busy_sec = 0;
+  double cpf_busy_sec = 0;
+  std::size_t peak_cta_depth = 0;
+  std::size_t peak_cpf_depth = 0;
+};
+
+inline PoolLoad scan_pools(core::System& system,
+                           const core::TopologyConfig& topo) {
+  PoolLoad load;
+  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
+  for (std::uint32_t r = 0; r < regions; ++r) {
+    load.cta_busy_sec += system.cta(r).pool_busy_time().sec();
+    load.peak_cta_depth =
+        std::max(load.peak_cta_depth, system.cta(r).pool_peak_depth());
+  }
+  const auto cpfs = regions * static_cast<std::uint32_t>(topo.cpfs_per_region);
+  for (std::uint32_t c = 0; c < cpfs; ++c) {
+    load.cpf_busy_sec += system.cpf(CpfId{c}).request_busy_time().sec();
+    load.peak_cpf_depth = std::max(load.peak_cpf_depth,
+                                   system.cpf(CpfId{c}).request_peak_depth());
+  }
+  return load;
+}
+
 /// Print one box-plot row: label, x, then the PCT distribution in ms.
 inline void print_pct_row(const char* figure, std::string_view system_name,
                           double x, const LatencyRecorder& pct) {

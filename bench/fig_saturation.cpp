@@ -28,30 +28,6 @@ using namespace neutrino;
 
 namespace {
 
-struct PoolLoad {
-  double cta_busy_sec = 0;
-  double cpf_busy_sec = 0;
-  std::size_t peak_cta_depth = 0;
-  std::size_t peak_cpf_depth = 0;
-};
-
-PoolLoad scan_pools(core::System& system, const core::TopologyConfig& topo) {
-  PoolLoad load;
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint32_t r = 0; r < regions; ++r) {
-    load.cta_busy_sec += system.cta(r).pool_busy_time().sec();
-    load.peak_cta_depth =
-        std::max(load.peak_cta_depth, system.cta(r).pool_peak_depth());
-  }
-  const auto cpfs = regions * static_cast<std::uint32_t>(topo.cpfs_per_region);
-  for (std::uint32_t c = 0; c < cpfs; ++c) {
-    load.cpf_busy_sec += system.cpf(CpfId{c}).request_busy_time().sec();
-    load.peak_cpf_depth = std::max(load.peak_cpf_depth,
-                                   system.cpf(CpfId{c}).request_peak_depth());
-  }
-  return load;
-}
-
 std::vector<trace::TraceRecord> make_offered(double rate_pps, SimTime window,
                                              std::uint64_t population,
                                              int regions) {
@@ -118,7 +94,7 @@ int main(int argc, char** argv) {
   // Probe far below saturation; busy seconds per completed procedure are
   // load-independent (costs are per-message), so the probe rate only needs
   // to be low enough that nothing queues pathologically.
-  PoolLoad probe_load;
+  bench::PoolLoad probe_load;
   double knee_pps = 0;
   {
     bench::ExperimentConfig cfg;
@@ -129,7 +105,7 @@ int main(int argc, char** argv) {
     const auto t = offered(/*rate_pps=*/500);
     const auto result = bench::run_experiment(
         cfg, t, {}, [&](core::ShardedSystem& sys) {
-          probe_load = scan_pools(sys.system(0), topo);
+          probe_load = bench::scan_pools(sys.system(0), topo);
         });
     const auto completed =
         static_cast<double>(result.metrics.procedures_completed);
@@ -176,11 +152,11 @@ int main(int argc, char** argv) {
     cfg.record_trace_events = trace_this_run;
     const double rate = knee_pps * mult;
     const auto t = offered(rate);
-    PoolLoad load;
+    bench::PoolLoad load;
     rss_meter.begin_run();
     const auto result = bench::run_experiment(
         cfg, t, {}, [&](core::ShardedSystem& sys) {
-          load = scan_pools(sys.system(0), topo);
+          load = bench::scan_pools(sys.system(0), topo);
         });
     const std::size_t rss_delta = rss_meter.run_delta_bytes();
     if (trace_this_run) {

@@ -27,30 +27,6 @@ using namespace neutrino;
 
 namespace {
 
-struct PoolLoad {
-  double cta_busy_sec = 0;
-  double cpf_busy_sec = 0;
-  std::size_t peak_cta_depth = 0;
-  std::size_t peak_cpf_depth = 0;
-};
-
-PoolLoad scan_pools(core::System& system, const core::TopologyConfig& topo) {
-  PoolLoad load;
-  const auto regions = static_cast<std::uint32_t>(topo.total_regions());
-  for (std::uint32_t r = 0; r < regions; ++r) {
-    load.cta_busy_sec += system.cta(r).pool_busy_time().sec();
-    load.peak_cta_depth =
-        std::max(load.peak_cta_depth, system.cta(r).pool_peak_depth());
-  }
-  const auto cpfs = regions * static_cast<std::uint32_t>(topo.cpfs_per_region);
-  for (std::uint32_t c = 0; c < cpfs; ++c) {
-    load.cpf_busy_sec += system.cpf(CpfId{c}).request_busy_time().sec();
-    load.peak_cpf_depth = std::max(load.peak_cpf_depth,
-                                   system.cpf(CpfId{c}).request_peak_depth());
-  }
-  return load;
-}
-
 /// All procedure types folded into one PCT distribution: the scenarios
 /// differ in mix, so a per-type table would not compare across them.
 LatencyRecorder merged_pct(core::Metrics& m) {
@@ -145,10 +121,10 @@ int main(int argc, char** argv) {
       cfg.policy = core::neutrino_policy();
       cfg.topo = topo;
       cfg.preattached_ues = info->preattach ? population : 0;
-      PoolLoad load;
+      bench::PoolLoad load;
       const auto result = bench::run_experiment(
           cfg, probe->records, {}, [&](core::ShardedSystem& sys) {
-            load = scan_pools(sys.system(0), topo);
+            load = bench::scan_pools(sys.system(0), topo);
           });
       const auto completed =
           static_cast<double>(result.metrics.procedures_completed);
@@ -177,10 +153,10 @@ int main(int argc, char** argv) {
       cfg.proto = controlled;
       cfg.preattached_ues = info->preattach ? population : 0;
       cfg.telemetry_window = opts.telemetry_window();
-      PoolLoad load;
+      bench::PoolLoad load;
       auto result = bench::run_experiment(
           cfg, traffic_gen->records, {}, [&](core::ShardedSystem& sys) {
-            load = scan_pools(sys.system(0), topo);
+            load = bench::scan_pools(sys.system(0), topo);
           });
       auto& m = result.metrics;
       const double completion =

@@ -108,6 +108,27 @@ build-release/bench/scale_throughput --smoke --threads=1,2 --shards=2 \
 python3 scripts/validate_report.py "$out"
 python3 scripts/summarize_bench.py "$out"
 
+# Memory gate: the Neutrino single-thread row's watermark above the
+# bench-start baseline, per UE. Its peak_rss_delta_bytes is measured
+# against the ExistingEPC row that runs first, so memory both rows pay
+# per trace record cancels out there; the watermark over the baseline
+# does not. Streamed replay plus the packed UE context measured 612-666
+# B/UE; scheduling every record up front again reads 777-816 B/UE.
+echo "== memory gate (build-release)"
+python3 - "$out" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+base = doc["config"]["rss_baseline_bytes"]
+row = next(r for r in doc["rows"]
+           if r["system"] == "Neutrino" and r["mode"] == "single-thread"
+           and not r.get("sharded_baseline"))
+per_ue = (row["peak_rss_bytes"] - base) / row["ues"]
+limit = 715  # ~10% above the measured 650 B/UE
+print(f"Neutrino single-thread watermark over baseline: {per_ue:.0f} B/UE "
+      f"(gate: {limit})")
+sys.exit(0 if per_ue <= limit else 1)
+PY
+
 # perfbench (the repo's benchmark, perfbench/README.md): run.py builds it
 # from this checkout at -O2, then the three simulator workloads run small
 # and their fingerprints of the simulated outputs must equal the pinned

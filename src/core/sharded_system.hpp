@@ -108,16 +108,20 @@ class ShardedSystem {
   /// each replica's owning shard (same placement as Frontend::preattach).
   void preattach(UeId ue, std::uint32_t region);
 
-  /// Partition a trace across shards by UE home region. Templated on the
-  /// record type (trace::TraceRecord-shaped) to keep core below trace in
-  /// the layering.
+  /// Partition a trace across shards by UE home region, then replay each
+  /// part as one stream on its shard (System::replay). Each part keeps
+  /// trace order, so every record gets the key that scheduling it on its
+  /// home loop would have. Templated on the record type
+  /// (trace::TraceRecord-shaped) to keep core below trace in the layering.
   template <class Record>
   void replay(const std::vector<Record>& trace) {
-    for (const Record& rec : trace) {
-      System& home = *shards_[shard_of_ue(rec.ue)].system;
-      home.loop().schedule_at(rec.at, [&home, rec] {
-        home.frontend().start_procedure(rec.ue, rec.type, rec.target_region);
-      });
+    std::vector<std::size_t> counts(shards_.size(), 0);
+    for (const Record& rec : trace) ++counts[shard_of_ue(rec.ue)];
+    std::vector<std::vector<Record>> parts(shards_.size());
+    for (std::size_t s = 0; s < parts.size(); ++s) parts[s].reserve(counts[s]);
+    for (const Record& rec : trace) parts[shard_of_ue(rec.ue)].push_back(rec);
+    for (std::size_t s = 0; s < parts.size(); ++s) {
+      shards_[s].system->replay(std::move(parts[s]));
     }
   }
 

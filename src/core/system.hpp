@@ -394,35 +394,37 @@ class Frontend {
   [[nodiscard]] const std::vector<Outage>& outages(UeId ue) const;
 
  private:
+  // Fields run from largest to smallest, so no padding sits between them.
   struct UeCtx {
-    std::uint32_t region = 0;
-    std::uint32_t prev_region = 0;  // before the last move (replica lookup)
-    bool paging_response = false;   // current procedure answers a page
-    bool attached = false;
+    std::vector<Outage> outages;  // data-path outage history
     std::uint64_t completed_procs = 0;
     /// proc_seq of the last procedure this UE saw complete: the RYW ground
     /// truth the core's served_proc is checked against.
     std::uint64_t last_completed_seq = 0;
     std::uint64_t next_proc_seq = 1;
-    // In-flight procedure, if any.
-    bool in_flight = false;
-    ProcedureType proc_type = ProcedureType::kAttach;
-    ProcedureType reported_type = ProcedureType::kAttach;  // original type
+    // In-flight procedure, if any: proc_seq through under_failure.
     std::uint64_t proc_seq = 0;
-    MsgKind awaiting = MsgKind::kAttachAccept;
     SimTime start_time;
-    bool under_failure = false;
+    SimTime outage_start;
+    std::uint32_t region = 0;
+    std::uint32_t prev_region = 0;  // before the last move (replica lookup)
     std::uint32_t ho_target = 0;
     // NAS retransmission (DESIGN.md §13): the last uplink sent and how
     // often it has been re-sent. A pending retx timer is stale unless
     // (proc_seq, last_uplink, retx_attempt) all still match.
-    MsgKind last_uplink = MsgKind::kAttachRequest;
     std::uint32_t retx_attempt = 0;
-    // Data-path outage tracking.
-    SimTime outage_start;
+    MsgKind last_uplink = MsgKind::kAttachRequest;
+    ProcedureType proc_type = ProcedureType::kAttach;
+    ProcedureType reported_type = ProcedureType::kAttach;  // original type
+    MsgKind awaiting = MsgKind::kAttachAccept;
+    bool in_flight = false;
+    bool under_failure = false;
+    bool paging_response = false;  // current procedure answers a page
+    bool attached = false;
     bool in_outage = false;
-    std::vector<Outage> outages;
   };
+  // One per UE in Frontend::ues_: each byte here costs 1 MB at 1M UEs.
+  static_assert(sizeof(UeCtx) <= 104, "UeCtx packing regressed");
 
   void send_uplink(UeCtx& ctx, UeId ue, MsgKind kind);
   /// Arm the NAS retransmission timer for the uplink just sent (no-op when
@@ -491,6 +493,19 @@ class System {
   [[nodiscard]] FaultInjection& faults() { return faults_; }
 
   [[nodiscard]] Frontend& frontend() { return *frontend_; }
+
+  /// Replay a trace as one stream on this system's loop: each record
+  /// starts its procedure at `rec.at`, in the order one schedule_at() per
+  /// record would give, but only the next record is queued at a time
+  /// (sim::EventLoop::schedule_stream). Templated on the record type
+  /// (trace::TraceRecord-shaped) to keep core below trace in the layering.
+  template <class Record>
+  void replay(std::vector<Record> trace) {
+    loop_->schedule_stream(std::move(trace), [this](const Record& rec) {
+      frontend_->start_procedure(rec.ue, rec.type, rec.target_region);
+    });
+  }
+
   [[nodiscard]] Cta& cta(std::uint32_t region) { return *ctas_[region]; }
   [[nodiscard]] Cpf& cpf(CpfId id) { return *cpfs_[id.value()]; }
   [[nodiscard]] Upf& upf(std::uint32_t region) { return *upfs_[region]; }

@@ -17,6 +17,9 @@
 // identical to a (when, seq) priority queue regardless of which structure
 // a key lands in: the wheel drains one granularity tick at a time into a
 // sorted buffer that is merged against the heap strictly by (when, seq).
+// A trace replay is one stream (schedule_stream): its records' seqs are
+// reserved up front and only its head is queued, so a long trace costs
+// no event memory until its records come due.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +27,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -72,32 +76,33 @@ class alignas(64) EventLoop {
   void schedule_at(SimTime when, F&& cb) {
     const std::uint32_t slot = alloc_slot();
     task(slot).emplace(std::forward<F>(cb));
-    const Key ev{when, next_seq_++, slot};
     ++pending_;
-    if (wheel_enabled_) {
-      if (wheel_count_ == 0 && drain_pos_ >= drain_.size()) {
-        // Wheel idle: snap the cursor forward so the window covers the
-        // near future again (it can never move backwards — events below
-        // the cursor would desync from the drained-tick invariant).
-        cursor_tick_ = std::max(cursor_tick_, tick_of(now_));
-      }
-      const std::int64_t tick = tick_of(when);
-      if (tick >= cursor_tick_ &&
-          static_cast<std::uint64_t>(tick - cursor_tick_) < slots_) {
-        const std::size_t bucket =
-            static_cast<std::size_t>(tick) & (slots_ - 1);
-        buckets_[bucket].push_back(ev);
-        occupancy_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-        ++wheel_count_;
-        return;
-      }
-    }
-    heap_push(ev);
+    enqueue({when, next_seq_++, slot});
   }
 
   template <typename F>
   void schedule_after(SimTime delay, F&& cb) {
     schedule_at(now_ + delay, std::forward<F>(cb));
+  }
+
+  /// Schedule `fire(rec)` at `rec.at` for every record, in exactly the
+  /// order that calling schedule_at() once per record, in input order,
+  /// would give: each record's sequence number is reserved here, so ties
+  /// at the same nanosecond break as before. Only the stream's head is
+  /// queued, though: dispatching item i arms item i+1 under its reserved
+  /// key, then fires item i. Event memory follows the work in flight,
+  /// not the length of the stream. Input not sorted by time is sorted
+  /// stably, and each record keeps the seq of its input position.
+  /// pending(), empty() and next_time() count records not yet armed.
+  template <class Record, class Fire>
+  void schedule_stream(std::vector<Record> records, Fire fire) {
+    if (records.empty()) return;
+    auto stream = std::make_unique<Stream<Record, Fire>>(
+        std::move(records), std::move(fire), next_seq_);
+    next_seq_ += stream->items.size();
+    pending_ += stream->items.size();
+    arm(*stream);
+    streams_.push_back(std::move(stream));
   }
 
   /// Run events until the queue drains or the horizon passes. Events at
@@ -165,6 +170,97 @@ class alignas(64) EventLoop {
   }
 
   void step() { dispatch(pop_next()); }
+
+  /// Queue a key in the wheel when its tick is within the window, else in
+  /// the heap. Either way it dispatches in exact (when, seq) order.
+  void enqueue(Key ev) {
+    if (wheel_enabled_) {
+      if (wheel_count_ == 0 && drain_pos_ >= drain_.size()) {
+        // Wheel idle: snap the cursor forward so the window covers the
+        // near future again (it can never move backwards — events below
+        // the cursor would desync from the drained-tick invariant).
+        cursor_tick_ = std::max(cursor_tick_, tick_of(now_));
+      }
+      const std::int64_t tick = tick_of(ev.when);
+      if (tick >= cursor_tick_ &&
+          static_cast<std::uint64_t>(tick - cursor_tick_) < slots_) {
+        const std::size_t bucket =
+            static_cast<std::size_t>(tick) & (slots_ - 1);
+        buckets_[bucket].push_back(ev);
+        occupancy_[bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
+        ++wheel_count_;
+        return;
+      }
+    }
+    heap_push(ev);
+  }
+
+  /// A schedule_stream() run: records sorted by time, the first `head`
+  /// already fired, and (while any remain) one key armed for items[head].
+  struct StreamBase {
+    virtual ~StreamBase() = default;
+  };
+  template <class Record, class Fire>
+  struct Stream final : StreamBase {
+    Stream(std::vector<Record> records, Fire f, std::uint64_t base)
+        : fire(std::move(f)), seq_base(base) {
+      const auto by_time = [](const Record& a, const Record& b) {
+        return a.at < b.at;
+      };
+      if (std::is_sorted(records.begin(), records.end(), by_time)) {
+        items = std::move(records);
+        return;
+      }
+      assert(records.size() <= UINT32_MAX);
+      input_pos.resize(records.size());
+      std::iota(input_pos.begin(), input_pos.end(), std::uint32_t{0});
+      // Stable by time: ties keep input order (sorts in place, unlike
+      // std::stable_sort's temporary buffer).
+      std::sort(input_pos.begin(), input_pos.end(),
+                [&records](std::uint32_t a, std::uint32_t b) {
+                  if (records[a].at != records[b].at) {
+                    return records[a].at < records[b].at;
+                  }
+                  return a < b;
+                });
+      items.reserve(records.size());
+      for (const std::uint32_t i : input_pos) {
+        items.push_back(std::move(records[i]));
+      }
+    }
+
+    std::vector<Record> items;
+    /// Input position of items[i]; empty when the input was sorted.
+    std::vector<std::uint32_t> input_pos;
+    Fire fire;
+    std::uint64_t seq_base;
+    std::size_t head = 0;
+  };
+
+  /// Queue the stream's head under the seq reserved for its input slot.
+  template <class S>
+  void arm(S& s) {
+    const std::size_t i = s.head;
+    const std::uint32_t slot = alloc_slot();
+    task(slot).emplace([this, &s] { fire_head(s); });
+    enqueue({s.items[i].at,
+             s.seq_base + (s.input_pos.empty() ? i : s.input_pos[i]), slot});
+  }
+
+  /// The head's key came due: arm the next item, then fire this one.
+  /// Keys are strictly increasing along the stream (sorted by time, ties
+  /// in input order), so the next item cannot be due before this one
+  /// leaves the queue. A drained stream frees its records.
+  template <class S>
+  void fire_head(S& s) {
+    const std::size_t i = s.head++;
+    if (s.head < s.items.size()) arm(s);
+    s.fire(std::as_const(s.items[i]));
+    if (s.head == s.items.size()) {
+      s.items = {};
+      s.input_pos = {};
+    }
+  }
 
   InlineTask& task(std::uint32_t slot) {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
@@ -265,7 +361,11 @@ class alignas(64) EventLoop {
         static_cast<std::size_t>(cursor_tick_) & (slots_ - 1);
     ++cursor_tick_;
     occupancy_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    drain_.swap(buckets_[slot]);
+    // Copy rather than swap: each bucket keeps the capacity it grew, so
+    // a warm wheel stops allocating.
+    std::vector<Key>& bucket = buckets_[slot];
+    drain_.assign(bucket.begin(), bucket.end());
+    bucket.clear();
     wheel_count_ -= drain_.size();
     std::sort(drain_.begin(), drain_.end(), before);
   }
@@ -357,6 +457,10 @@ class alignas(64) EventLoop {
   std::size_t slots_;
   std::vector<std::vector<Key>> buckets_;
   std::vector<std::uint64_t> occupancy_;
+
+  // schedule_stream() runs; an armed head's task points into its stream,
+  // so a loop with live streams must not be moved.
+  std::vector<std::unique_ptr<StreamBase>> streams_;
 };
 
 }  // namespace neutrino::sim

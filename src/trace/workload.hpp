@@ -210,14 +210,10 @@ class DeviceModelWorkload {
   Rng rng_;
 };
 
-/// Replay a trace into the system: schedules every record on the event
-/// loop. Pre-attached UEs are the caller's responsibility.
+/// Replay a trace into the system as one lazily armed stream on its event
+/// loop (System::replay). Pre-attached UEs are the caller's responsibility.
 inline void replay(core::System& system, const std::vector<TraceRecord>& trace) {
-  for (const TraceRecord& rec : trace) {
-    system.loop().schedule_at(rec.at, [&system, rec] {
-      system.frontend().start_procedure(rec.ue, rec.type, rec.target_region);
-    });
-  }
+  system.replay(trace);
 }
 
 }  // namespace neutrino::trace

@@ -3,11 +3,13 @@
 // the core's heap allocations per completed procedure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/msg_pool.hpp"
 #include "core/system.hpp"
 #include "sim/event_loop.hpp"
@@ -188,6 +190,211 @@ TEST(EventLoopCore, FarFutureEventsBeyondWheelSpanStillOrder) {
   loop.schedule_at(SimTime::microseconds(100), [&] { order.push_back(1); });
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// --- EventLoop streams ------------------------------------------------------
+
+struct StreamRec {
+  SimTime at;
+  int id = 0;
+};
+
+struct LoopState {
+  std::size_t pending;
+  bool empty;
+  std::int64_t next_ns;
+  bool operator==(const LoopState&) const = default;
+};
+
+// One scripted run: events scheduled before, between and after two
+// replays, with records that schedule follow-ups (some at their own
+// nanosecond, some on a later record's). `streamed` replays through
+// schedule_stream; otherwise through one schedule_at per record, the
+// order schedule_stream must reproduce exactly. The run is sliced by
+// run_until at `stops`, and the queue state is logged at every stop.
+struct ScriptResult {
+  std::vector<int> order;
+  std::vector<LoopState> states;
+};
+
+ScriptResult run_script(bool streamed, const sim::EventLoop::Config& cfg,
+                        const std::vector<StreamRec>& first,
+                        const std::vector<StreamRec>& second,
+                        const std::vector<SimTime>& stops) {
+  sim::EventLoop loop(cfg);
+  ScriptResult r;
+  const auto fire = [&loop, &r](const StreamRec& rec) {
+    r.order.push_back(rec.id);
+    if (rec.id % 3 == 0) {
+      loop.schedule_after(SimTime{}, [&r, id = rec.id] {
+        r.order.push_back(10'000 + id);
+      });
+    } else if (rec.id % 3 == 1) {
+      loop.schedule_after(SimTime::microseconds(3), [&r, id = rec.id] {
+        r.order.push_back(20'000 + id);
+      });
+    }
+  };
+  const auto replay = [&](const std::vector<StreamRec>& recs) {
+    if (streamed) {
+      loop.schedule_stream(recs, fire);
+    } else {
+      for (const StreamRec& rec : recs) {
+        loop.schedule_at(rec.at, [&fire, rec] { fire(rec); });
+      }
+    }
+  };
+  const auto mark = [&](std::int64_t us, int id) {
+    loop.schedule_at(SimTime::microseconds(us),
+                     [&r, id] { r.order.push_back(id); });
+  };
+  mark(4, -1);  // ties with records, scheduled before the replay
+  mark(9, -2);
+  replay(first);
+  mark(4, -3);  // ties again, scheduled after it
+  mark(12, -4);
+  replay(second);
+  mark(9, -5);
+  const auto snapshot = [&] {
+    r.states.push_back({loop.pending(), loop.empty(), loop.next_time().ns()});
+  };
+  snapshot();
+  for (const SimTime stop : stops) {
+    loop.run_until(stop);
+    snapshot();
+  }
+  loop.run();
+  snapshot();
+  return r;
+}
+
+std::vector<StreamRec> stream_records(int n, int id_base, std::uint64_t seed,
+                                      bool sorted) {
+  Rng rng(seed);
+  std::vector<StreamRec> recs;
+  for (int i = 0; i < n; ++i) {
+    // Few distinct microseconds, so same-nanosecond ties are common; a
+    // few records lie far beyond any wheel span.
+    std::int64_t us = static_cast<std::int64_t>(rng.next_u64() % 16);
+    if (i % 17 == 5) us += 50'000;
+    recs.push_back({SimTime::microseconds(us), id_base + i});
+  }
+  if (sorted) {
+    // Ids rise with input position, so this is a stable sort by time.
+    std::sort(recs.begin(), recs.end(),
+              [](const StreamRec& a, const StreamRec& b) {
+                return a.at != b.at ? a.at < b.at : a.id < b.id;
+              });
+  }
+  return recs;
+}
+
+TEST(EventLoopStream, DispatchOrderMatchesPerRecordScheduleAt) {
+  sim::EventLoop::Config narrow;
+  narrow.wheel_slots = 4;  // 4 us span: most keys overflow to the heap
+  sim::EventLoop::Config no_wheel;
+  no_wheel.use_timer_wheel = false;
+  const std::vector<sim::EventLoop::Config> configs = {
+      sim::EventLoop::Config{}, narrow, no_wheel};
+  std::vector<SimTime> stops;
+  for (std::int64_t us = 0; us <= 16; ++us) {
+    stops.push_back(SimTime::microseconds(us));  // record times
+    stops.push_back(SimTime::nanoseconds(us * 1'000 + 500));
+  }
+  for (const bool sorted : {true, false}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const auto first = stream_records(200, 0, seed, sorted);
+      const auto second = stream_records(60, 1'000, seed + 100, sorted);
+      for (const auto& cfg : configs) {
+        for (const bool sliced : {false, true}) {
+          const std::vector<SimTime> at = sliced ? stops : std::vector<SimTime>{};
+          const ScriptResult want = run_script(false, cfg, first, second, at);
+          const ScriptResult got = run_script(true, cfg, first, second, at);
+          // 260 records, 174 follow-ups, 5 marks.
+          ASSERT_EQ(got.order.size(), 439u);
+          EXPECT_EQ(got.order, want.order)
+              << "sorted=" << sorted << " seed=" << seed
+              << " wheel=" << cfg.use_timer_wheel << " sliced=" << sliced;
+          EXPECT_EQ(got.states, want.states);
+        }
+      }
+    }
+  }
+}
+
+TEST(EventLoopStream, QueueStateCountsItemsNotYetArmed) {
+  sim::EventLoop loop;
+  std::vector<int> fired;
+  loop.schedule_stream(
+      std::vector<StreamRec>{{SimTime::microseconds(2), 0},
+                             {SimTime::microseconds(5), 1},
+                             {SimTime::microseconds(5), 2},
+                             {SimTime::milliseconds(900), 3}},
+      [&fired](const StreamRec& rec) { fired.push_back(rec.id); });
+  EXPECT_EQ(loop.pending(), 4u);
+  EXPECT_FALSE(loop.empty());
+  EXPECT_EQ(loop.next_time().ns(), SimTime::microseconds(2).ns());
+  loop.run_until(SimTime::microseconds(2));
+  EXPECT_EQ(loop.pending(), 3u);
+  EXPECT_EQ(loop.next_time().ns(), SimTime::microseconds(5).ns());
+  loop.run_until(SimTime::milliseconds(1));
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_EQ(loop.next_time().ns(), SimTime::milliseconds(900).ns());
+  loop.run();
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.next_time(), SimTime::max());
+  EXPECT_EQ(loop.executed(), 4u);
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventLoopStream, DestroyingLoopWithUnfiredItemsReleasesThem) {
+  struct Held {
+    SimTime at;
+    std::shared_ptr<int> token;
+  };
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = token;
+  {
+    sim::EventLoop loop;
+    std::vector<Held> recs;
+    for (int i = 0; i < 3'000; ++i) {
+      recs.push_back({SimTime::microseconds(i), token});
+    }
+    int fired = 0;
+    loop.schedule_stream(std::move(recs),
+                         [&fired, token](const Held&) { ++fired; });
+    token.reset();
+    loop.run_until(SimTime::microseconds(999));
+    EXPECT_EQ(fired, 1'000);
+    EXPECT_EQ(loop.pending(), 2'000u);
+    EXPECT_FALSE(alive.expired());
+  }
+  EXPECT_TRUE(alive.expired());  // records and the fire functor are gone
+}
+
+// A replay costs a constant number of heap blocks however long the
+// trace is: one copy of the records plus the stream, not a slab slot,
+// key and free-list entry per record (100K records grew ~98 slab chunks).
+TEST(EventLoopStream, ReplayAllocatesConstantBlocks) {
+  constexpr std::uint64_t kRecords = 100'000;
+  std::vector<trace::TraceRecord> records;
+  records.reserve(kRecords);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    trace::TraceRecord rec;
+    rec.at = SimTime::microseconds(static_cast<std::int64_t>(10 * i));
+    rec.ue = UeId(i);
+    records.push_back(rec);
+  }
+  sim::EventLoop loop;
+  core::Metrics metrics;
+  core::FixedCostModel costs{SimTime::microseconds(10)};
+  core::System system(loop, core::neutrino_policy(), core::TopologyConfig{},
+                      core::ProtocolConfig{}, costs, metrics);
+  const std::uint64_t before = g_alloc_count;
+  trace::replay(system, records);
+  const std::uint64_t blocks = g_alloc_count - before;
+  EXPECT_EQ(loop.pending(), kRecords);
+  EXPECT_LE(blocks, 8u) << blocks << " allocations for one replay";
 }
 
 // --- MsgPool ----------------------------------------------------------------
